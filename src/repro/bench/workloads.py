@@ -20,7 +20,6 @@ from repro.receiver.user_detection import UserDetector
 from repro.sim.collision import CollisionScenario, simulate_round
 from repro.tag.framing import FrameFormat
 from repro.tag.tag import Tag
-from repro.utils.correlation import sliding_correlation
 from repro.utils.correlation_batch import sliding_correlation_batch
 
 __all__ = ["TIERS", "Workload", "build_workloads"]
@@ -384,17 +383,11 @@ def build_workloads(
         def run_fft(signal: np.ndarray = signal) -> object:
             return sliding_correlation_batch(signal, templates, backend="fft")
 
-        def run_loop(signal: np.ndarray = signal) -> object:
-            return [sliding_correlation(signal, t) for t in templates]
-
         workloads.append(
             Workload(f"corr_direct_w{n}", dict(params, backend="direct"), run_direct, micro_reps)
         )
         workloads.append(
             Workload(f"corr_fft_w{n}", dict(params, backend="fft"), run_fft, micro_reps)
-        )
-        workloads.append(
-            Workload(f"corr_legacy_loop_w{n}", dict(params, backend="legacy"), run_loop, micro_reps)
         )
 
     # --- detect: the acceptance benchmark (10 tags, 4 samples/chip) --------

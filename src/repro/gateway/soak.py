@@ -38,6 +38,7 @@ from repro.sim.experiments.soak import (
     SoakConfig,
     build_soak_stack,
     build_soak_stream,
+    check_frame_stream,
 )
 from repro.sim.network import CbmaConfig
 
@@ -464,29 +465,7 @@ def check_gateway_invariants(
                     f"fed {rep.fed} + shed {rep.shed}",
                 )
             )
-        last_by_key: Dict[Tuple[int, bytes], int] = {}
-        prev_start = None
-        for k, f in enumerate(rep.frames):
-            key = (f.user_id, f.payload)
-            prev = last_by_key.get(key)
-            if prev is not None and abs(f.start_sample - prev) < tolerance:
-                out.append(
-                    InvariantViolation(
-                        "duplicate_frame",
-                        f"stream {sid} frame #{k} user {f.user_id} at "
-                        f"{f.start_sample} duplicates one at {prev}",
-                    )
-                )
-            last_by_key[key] = f.start_sample
-            if prev_start is not None and f.start_sample < prev_start:
-                out.append(
-                    InvariantViolation(
-                        "order",
-                        f"stream {sid} frame #{k} start {f.start_sample} "
-                        f"emitted after start {prev_start}",
-                    )
-                )
-            prev_start = f.start_sample
+        out.extend(check_frame_stream(rep.frames, tolerance, where=f"stream {sid} "))
 
     intake_bound = cfg.n_streams * gwcfg.max_intake_chunks
     if result.peak_queue_depth > intake_bound:

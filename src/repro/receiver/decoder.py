@@ -17,7 +17,7 @@ how many further bits the frame contains, then payload + CRC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,6 +29,10 @@ from repro.utils.bits import bits_to_bipolar, bits_to_bytes, pack_bits
 from repro.utils.contracts import array_contract
 
 __all__ = ["ChipDecoder", "DecodedFrame"]
+
+#: ``slice_bits(start, n_bits)``: decide *n_bits* bits from sample
+#: *start* on, or ``None`` when the window ends first.
+Slicer = Callable[[int, int], Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -84,24 +88,34 @@ class ChipDecoder:
         blocks = x[start:end].reshape(n_bits, self.block_samples)
         return blocks @ np.conj(self._template)
 
-    def decode_bits(self, window: np.ndarray, start: int, n_bits: int, channel: complex) -> Optional[np.ndarray]:
-        """Decode *n_bits* consecutive bits beginning at sample *start*.
+    def slicer(self, window: np.ndarray, channel: complex) -> Slicer:
+        """The per-bit slicing step for one frame in *window*.
 
-        Returns ``None`` when the window is too short (truncated frame).
-        Each bit's statistic is ``Re(conj(h) * <template, block>)``;
-        the bit is 1 when the statistic is positive (bit-0 chips are
-        the negated code, so the statistic is symmetric).
+        Returns ``slice_bits(start, n_bits)``, which decides *n_bits*
+        consecutive bits beginning at sample *start* (``None`` when the
+        window is too short).  Each bit's statistic is
+        ``Re(conj(h) * <template, block>)``; the bit is 1 when it is
+        positive (bit-0 chips are the negated code, so the statistic is
+        symmetric).  :meth:`parse_frame` calls the slicer once for the
+        length field and once for the rest, so a slicer that updates
+        its channel estimate as it goes carries it across both.
         """
         x = np.asarray(window)
-        end = start + n_bits * self.block_samples
-        if start < 0 or end > x.size:
-            return None
         if channel == 0:
             channel = 1.0 + 0j
-        blocks = x[start:end].reshape(n_bits, self.block_samples)
-        stats = blocks @ np.conj(self._template)
-        decisions = (np.real(np.conj(channel) * stats) > 0).astype(np.uint8)
-        return decisions
+
+        def slice_bits(start: int, n_bits: int) -> Optional[np.ndarray]:
+            stats = self.decision_statistics(x, start, n_bits)
+            if stats is None:
+                return None
+            return (np.real(np.conj(channel) * stats) > 0).astype(np.uint8)
+
+        return slice_bits
+
+    def decode_bits(self, window: np.ndarray, start: int, n_bits: int, channel: complex) -> Optional[np.ndarray]:
+        """Decode *n_bits* consecutive bits beginning at sample *start*
+        (``None`` when the window is too short)."""
+        return self.slicer(window, channel)(start, n_bits)
 
     @array_contract(window="(n) complex128")
     def decode_frame(self, window: np.ndarray, preamble_start: int, channel: complex, user_id: int = -1) -> DecodedFrame:
@@ -112,32 +126,35 @@ class ChipDecoder:
         re-decoded -- it served as the synchronisation anchor -- so
         decoding starts at the length field.
         """
+        return self.parse_frame(self.slicer(window, channel), preamble_start, user_id)
+
+    def parse_frame(self, slice_bits: Slicer, preamble_start: int, user_id: int = -1) -> DecodedFrame:
+        """Progressive frame parse over any per-bit slicing step.
+
+        The 8-bit length field is sliced first, which bounds how many
+        further bits the frame holds, then payload + CRC.
+        """
         body_start = preamble_start + self.fmt.preamble_bits * self.block_samples
 
-        length_bits = self.decode_bits(window, body_start, 8, channel)
+        length_bits = slice_bits(body_start, 8)
         if length_bits is None:
             return DecodedFrame(user_id, False, None, "truncated")
         length = int(bits_to_bytes(length_bits)[0])
         if length > MAX_PAYLOAD_BYTES:
             return DecodedFrame(user_id, False, None, "length", raw_bits=length_bits)
 
-        rest_bits_n = 8 * length + 16
-        rest_start = body_start + 8 * self.block_samples
-        rest_bits = self.decode_bits(window, rest_start, rest_bits_n, channel)
+        rest_bits = slice_bits(body_start + 8 * self.block_samples, 8 * length + 16)
         if rest_bits is None:
             return DecodedFrame(user_id, False, None, "truncated", raw_bits=length_bits)
 
         frame_bits = pack_bits(self.fmt.preamble, length_bits, rest_bits)
+        raw_bits = pack_bits(length_bits, rest_bits)
         tracer = self.tracer
         try:
             with tracer.span("crc"):
                 frame = self.fmt.parse(frame_bits, check_preamble=False)
         except FrameError:
             tracer.count(C.CRC_FAIL)
-            return DecodedFrame(
-                user_id, False, None, "crc", raw_bits=pack_bits(length_bits, rest_bits)
-            )
+            return DecodedFrame(user_id, False, None, "crc", raw_bits=raw_bits)
         tracer.count(C.CRC_OK)
-        return DecodedFrame(
-            user_id, True, frame.payload, "ok", raw_bits=pack_bits(length_bits, rest_bits)
-        )
+        return DecodedFrame(user_id, True, frame.payload, "ok", raw_bits=raw_bits)

@@ -18,17 +18,16 @@ at the knee.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from dataclasses import replace
+from functools import partial
+from typing import List, Optional, Sequence, cast
 
 import numpy as np
 
-from repro.receiver.ack import AckMessage
 from repro.receiver.decoder import ChipDecoder, DecodedFrame
+from repro.receiver.frame_sync import FrameSyncResult
 from repro.receiver.receiver import CbmaReceiver, ReceptionReport
 from repro.receiver.user_detection import UserDetection
-from repro.tag.framing import FrameError, FrameFormat, MAX_PAYLOAD_BYTES
-from repro.utils.bits import bits_to_bytes, pack_bits
-from repro.utils.correlation import correlation_peaks
 
 __all__ = ["DiversityReceiver"]
 
@@ -37,8 +36,9 @@ class DiversityReceiver(CbmaReceiver):
     """MRC receiver over ``n_antennas`` independent branches.
 
     ``process_branches`` accepts a list of per-antenna sample buffers
-    (equal length); the single-buffer :meth:`process` still works and
-    degenerates to the base receiver.
+    (equal length) and runs the base receiver's stages with a combined
+    detector and an MRC slicing step; the single-buffer :meth:`process`
+    still works and degenerates to the base receiver.
     """
 
     def __init__(self, *args, n_antennas: int = 2, **kwargs):
@@ -47,9 +47,26 @@ class DiversityReceiver(CbmaReceiver):
             raise ValueError("n_antennas must be >= 1")
         self.n_antennas = n_antennas
 
-    # ------------------------------------------------------------------
-    # Branch-combining pipeline
-    # ------------------------------------------------------------------
+    def process_branches(self, branches: Sequence[np.ndarray], round_index: int = 0) -> ReceptionReport:
+        """Full pipeline over per-antenna buffers.
+
+        Every branch passes the same front end as :meth:`process`
+        (sanitiser, optional DC block), and each stage is contained the
+        same way.
+        """
+        if len(branches) != self.n_antennas:
+            raise ValueError(f"expected {self.n_antennas} branches, got {len(branches)}")
+        report = ReceptionReport(sync=FrameSyncResult(detections=[]))
+        xs = [self._front_end(b, report.failures) for b in branches]
+        if len({x.size for x in xs}) != 1:
+            raise ValueError("branches must share one length")
+        if not self._sync(report, xs, round_index):
+            return report
+        self._detect(report, partial(self._detect_combined, xs))
+        for det in report.detections:
+            attempt = partial(_decode_mrc, self._decoders[det.user_id], xs, det.user_id)
+            report.frames.append(self._decode(report, det, attempt)[0])
+        return self._finish(report, round_index)
 
     def _combined_correlations(
         self, branches: Sequence[np.ndarray]
@@ -57,9 +74,8 @@ class DiversityReceiver(CbmaReceiver):
         """Square-law-combined correlation per user, batched per branch.
 
         Each branch takes **one** batched FFT pass over the stacked
-        template bank (shared branch FFT, shared window-energy cumsum)
-        instead of one ``np.convolve`` per user per branch; the
-        per-user rows are then combined non-coherently across branches.
+        template bank; the per-user rows are then combined
+        non-coherently across branches (phases differ across antennas).
         """
         combined: "OrderedDict[int, np.ndarray]" = OrderedDict()
         for x in branches:
@@ -72,122 +88,38 @@ class DiversityReceiver(CbmaReceiver):
         return OrderedDict((uid, np.sqrt(acc)) for uid, acc in combined.items())
 
     def _detect_combined(self, branches: Sequence[np.ndarray]) -> List[UserDetection]:
-        """User detection on non-coherently combined correlations."""
-        out: List[UserDetection] = []
-        for uid, combined in self._combined_correlations(branches).items():
-            template = self.user_detector.template(uid)
-            if combined.size == 0:
-                continue
-            best = int(np.argmax(combined))
-            score = float(combined[best])
-            if score < self.user_detector.threshold:
-                continue
-            block = self.samples_per_chip * int(self.codes[uid].size)
-            peaks = correlation_peaks(
-                combined,
-                threshold=max(self.user_detector.threshold, 0.5 * score),
-                min_spacing=max(block // 2, 1),
-            )
-            # Earliest-first hypothesis order with the global best
-            # always retained (see UserDetector.detect).
-            ranked = sorted(int(k) for k in peaks)[: self.user_detector.max_hypotheses - 1]
-            if best not in ranked:
-                ranked = sorted(ranked + [best])
-            ranked = ranked or [best]
-            candidates = []
+        """User detection on the combined correlations; each candidate
+        carries one channel estimate per branch."""
+
+        def channels_at(template: np.ndarray, k: int) -> tuple:
             t_energy = float(np.vdot(template, template).real)
-            for k in ranked:
-                channels = tuple(
-                    complex(np.vdot(template, x[k : k + template.size]) / t_energy)
-                    for x in branches
-                )
-                candidates.append((int(k), float(combined[k]), channels))
-            peak, score, channels = max(candidates, key=lambda c: c[1])
-            out.append(
-                UserDetection(
-                    user_id=uid, offset=peak, score=score,
-                    channel=channels[0], candidates=tuple(candidates),
-                )
+            return tuple(
+                complex(np.vdot(template, x[k : k + template.size]) / t_energy) for x in branches
             )
-        out.sort(key=lambda d: d.score, reverse=True)
-        return out
 
-    def _decode_mrc(
-        self,
-        branches: Sequence[np.ndarray],
-        decoder: ChipDecoder,
-        preamble_start: int,
-        channels: Sequence[complex],
-        user_id: int,
-    ) -> DecodedFrame:
-        """Progressive frame decode with per-bit MRC combining."""
-        fmt: FrameFormat = self.fmt
-        body_start = preamble_start + fmt.preamble_bits * decoder.block_samples
+        detections = self.user_detector.rank(self._combined_correlations(branches).items(), channels_at)
+        # The headline channel is branch 0's estimate.
+        return [replace(d, channel=cast(tuple, d.channel)[0]) for d in detections]
 
-        def mrc_bits(start: int, n_bits: int) -> Optional[np.ndarray]:
-            acc = None
-            for x, h in zip(branches, channels):
-                stats = decoder.decision_statistics(x, start, n_bits)
-                if stats is None:
-                    return None
-                contrib = np.real(np.conj(h if h != 0 else 1.0) * stats)
-                acc = contrib if acc is None else acc + contrib
-            return (acc > 0).astype(np.uint8)
 
-        length_bits = mrc_bits(body_start, 8)
-        if length_bits is None:
-            return DecodedFrame(user_id, False, None, "truncated")
-        length = int(bits_to_bytes(length_bits)[0])
-        if length > MAX_PAYLOAD_BYTES:
-            return DecodedFrame(user_id, False, None, "length", raw_bits=length_bits)
-        rest = mrc_bits(body_start + 8 * decoder.block_samples, 8 * length + 16)
-        if rest is None:
-            return DecodedFrame(user_id, False, None, "truncated", raw_bits=length_bits)
-        frame_bits = pack_bits(fmt.preamble, length_bits, rest)
-        try:
-            frame = fmt.parse(frame_bits, check_preamble=False)
-        except FrameError:
-            return DecodedFrame(user_id, False, None, "crc", raw_bits=pack_bits(length_bits, rest))
-        return DecodedFrame(user_id, True, frame.payload, "ok", raw_bits=pack_bits(length_bits, rest))
+def _decode_mrc(
+    decoder: ChipDecoder,
+    branches: Sequence[np.ndarray],
+    user_id: int,
+    preamble_start: int,
+    channels: Sequence[complex],
+) -> DecodedFrame:
+    """Decode one frame with the MRC slicing step: each bit slices
+    ``sum_k Re(conj(h_k) * z_k)`` over the branches."""
 
-    def process_branches(self, branches: Sequence[np.ndarray], round_index: int = 0) -> ReceptionReport:
-        """Full pipeline over per-antenna buffers."""
-        branches = [np.asarray(b) for b in branches]
-        if self.dc_block:
-            branches = [b - np.mean(b) if b.size else b for b in branches]
-        if len(branches) != self.n_antennas:
-            raise ValueError(f"expected {self.n_antennas} branches, got {len(branches)}")
-        if len({b.size for b in branches}) != 1:
-            raise ValueError("branches must share one length")
+    def slice_bits(start: int, n_bits: int) -> Optional[np.ndarray]:
+        acc = None
+        for x, h in zip(branches, channels):
+            stats = decoder.decision_statistics(x, start, n_bits)
+            if stats is None:
+                return None
+            contrib = np.real(np.conj(h if h != 0 else 1.0) * stats)
+            acc = contrib if acc is None else acc + contrib
+        return (acc > 0).astype(np.uint8)
 
-        # Frame sync per branch, OR-combined: averaging the envelopes
-        # would let a deeply faded branch dilute the relative 3 dB rise
-        # the detector looks for on the healthy branch.
-        detections: List[int] = []
-        for b in branches:
-            detections.extend(self.energy_detector.detect(b).detections)
-        from repro.receiver.frame_sync import FrameSyncResult
-
-        sync = FrameSyncResult(detections=sorted(set(detections)))
-        report = ReceptionReport(sync=sync)
-        if not sync.detected:
-            report.ack = AckMessage.for_ids([], round_index)
-            return report
-
-        report.detections = self._detect_combined(branches)
-        for det in report.detections:
-            decoder = self._decoders[det.user_id]
-            frame = None
-            for offset, _score, channels in det.candidates:
-                attempt = self._decode_mrc(branches, decoder, offset, channels, det.user_id)
-                if frame is None or (attempt.success and not frame.success):
-                    frame = attempt
-                if attempt.success:
-                    break
-            report.frames.append(frame)
-
-        self._suppress_ghosts(report)
-        report.ack = AckMessage.for_ids(
-            (f.user_id for f in report.frames if f.success), round_index
-        )
-        return report
+    return decoder.parse_frame(slice_bits, preamble_start, user_id)

@@ -21,12 +21,13 @@ both default off so the calibrated paper pipeline is unchanged.
 
 from __future__ import annotations
 
+from typing import Any, Optional
+
 import numpy as np
 
-from repro.receiver.decoder import DecodedFrame
+from repro.receiver.decoder import ChipDecoder, Slicer
 from repro.receiver.receiver import CbmaReceiver
-from repro.tag.framing import FrameError, MAX_PAYLOAD_BYTES
-from repro.utils.bits import bits_to_bytes, pack_bits
+from repro.tag.framing import FrameFormat
 
 __all__ = ["PhaseTrackingReceiver"]
 
@@ -36,7 +37,8 @@ class PhaseTrackingReceiver(CbmaReceiver):
 
     Parameters match :class:`CbmaReceiver` plus *alpha*, the tracking
     loop gain in (0, 1]: each decided bit pulls the channel estimate
-    ``h`` toward that bit's measured phase by a factor *alpha*.
+    ``h`` toward that bit's measured phase by a factor *alpha*.  Only
+    the decoders' slicing step differs from the base pipeline.
     """
 
     def __init__(self, *args, alpha: float = 0.35, **kwargs):
@@ -44,81 +46,49 @@ class PhaseTrackingReceiver(CbmaReceiver):
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
-
-    # The base class's process() calls each decoder's decode_frame; we
-    # intercept at that granularity by overriding the decode call.
-
-    def process(self, iq, round_index: int = 0, skip_energy_gate: bool = False):
-        # Reuse the whole base pipeline but swap the decode function.
-        original_decoders = self._decoders
-        try:
-            self._decoders = {
-                uid: _TrackingAdapter(dec, self.alpha) for uid, dec in original_decoders.items()
-            }
-            return super().process(iq, round_index=round_index, skip_energy_gate=skip_energy_gate)
-        finally:
-            self._decoders = original_decoders
+        self._decoders = {
+            uid: _TrackingDecoder(code, self.fmt, self.samples_per_chip, alpha, tracer=self.tracer)
+            for uid, code in self.codes.items()
+        }
 
 
-class _TrackingAdapter:
-    """Wraps a ChipDecoder with decision-directed phase tracking."""
+class _TrackingDecoder(ChipDecoder):
+    """A :class:`ChipDecoder` whose slicer carries ``h`` forward."""
 
-    def __init__(self, decoder, alpha: float):
-        self._decoder = decoder
+    def __init__(
+        self,
+        code: np.ndarray,
+        fmt: FrameFormat,
+        samples_per_chip: int,
+        alpha: float,
+        tracer: Any = None,
+    ):
+        super().__init__(code, fmt, samples_per_chip, tracer=tracer)
         self.alpha = alpha
+        self._w_eff = float(np.sum(np.abs(self._template) ** 2)) / 2.0  # ~ones count x spc
 
-    def __getattr__(self, name):
-        return getattr(self._decoder, name)
-
-    def _tracked_bits(self, window, start, n_bits, h):
-        """Decode *n_bits* updating ``h`` after every decision.
-
-        Returns (bits, final_h) or (None, h) when truncated.
-        """
-        dec = self._decoder
+    def slicer(self, window: np.ndarray, channel: complex) -> Slicer:
+        """Slice bits, updating ``h`` after every decision."""
         x = np.asarray(window)
-        end = start + n_bits * dec.block_samples
-        if start < 0 or end > x.size:
-            return None, h
-        template = dec._template
-        w_eff = float(np.sum(np.abs(template) ** 2)) / 2.0  # ~ones count x spc
-        bits = np.empty(n_bits, dtype=np.uint8)
-        for k in range(n_bits):
-            block = x[start + k * dec.block_samples : start + (k + 1) * dec.block_samples]
-            z = complex(block @ np.conj(template))
-            bit = 1 if np.real(np.conj(h) * z) > 0 else 0
-            bits[k] = bit
-            # The statistic of a correct decision is ~ h * W * (+/-1);
-            # fold its phase back into h (decision-directed update).
-            sign = 1.0 if bit else -1.0
-            observed = z * sign / max(w_eff, 1e-30)
-            h = (1.0 - self.alpha) * h + self.alpha * observed
-        return bits, h
+        h = channel if channel != 0 else 1.0 + 0j
+        template = self._template
+        block_samples = self.block_samples
 
-    def decode_frame(self, window, preamble_start, channel, user_id=-1):
-        dec = self._decoder
-        if channel == 0:
-            channel = 1.0 + 0j
-        body_start = preamble_start + dec.fmt.preamble_bits * dec.block_samples
+        def slice_bits(start: int, n_bits: int) -> Optional[np.ndarray]:
+            nonlocal h
+            if start < 0 or start + n_bits * block_samples > x.size:
+                return None
+            bits = np.empty(n_bits, dtype=np.uint8)
+            for k in range(n_bits):
+                block = x[start + k * block_samples : start + (k + 1) * block_samples]
+                z = complex(block @ np.conj(template))
+                bit = 1 if np.real(np.conj(h) * z) > 0 else 0
+                bits[k] = bit
+                # The statistic of a correct decision is ~ h * W * (+/-1);
+                # fold its phase back into h (decision-directed update).
+                sign = 1.0 if bit else -1.0
+                observed = z * sign / max(self._w_eff, 1e-30)
+                h = (1.0 - self.alpha) * h + self.alpha * observed
+            return bits
 
-        length_bits, h = self._tracked_bits(window, body_start, 8, channel)
-        if length_bits is None:
-            return DecodedFrame(user_id, False, None, "truncated")
-        length = int(bits_to_bytes(length_bits)[0])
-        if length > MAX_PAYLOAD_BYTES:
-            return DecodedFrame(user_id, False, None, "length", raw_bits=length_bits)
-
-        rest_start = body_start + 8 * dec.block_samples
-        rest_bits, _h = self._tracked_bits(window, rest_start, 8 * length + 16, h)
-        if rest_bits is None:
-            return DecodedFrame(user_id, False, None, "truncated", raw_bits=length_bits)
-        frame_bits = pack_bits(dec.fmt.preamble, length_bits, rest_bits)
-        try:
-            frame = dec.fmt.parse(frame_bits, check_preamble=False)
-        except FrameError:
-            return DecodedFrame(
-                user_id, False, None, "crc", raw_bits=pack_bits(length_bits, rest_bits)
-            )
-        return DecodedFrame(
-            user_id, True, frame.payload, "ok", raw_bits=pack_bits(length_bits, rest_bits)
-        )
+        return slice_bits

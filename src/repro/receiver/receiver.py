@@ -16,7 +16,8 @@ near-far) the paper sets out to fix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -163,7 +164,7 @@ class CbmaReceiver:
             self.tracer.count(failure.counter)
 
     def _front_end(self, iq, report_failures: List[DecodeFailure]) -> np.ndarray:
-        """Input hygiene shared with :class:`~repro.receiver.sic.SicReceiver`."""
+        """Input hygiene: sanitise *iq* and (opt-in) block DC."""
         x, failures = sanitize_buffer(iq)
         for failure in failures:
             report_failures.append(failure)
@@ -190,67 +191,110 @@ class CbmaReceiver:
         :class:`DecodeFailure` on ``report.failures`` (counted under
         ``errors.pipeline.*``) while the rest of the pipeline carries
         on with whatever the earlier stages produced.
+
+        The stages are methods shared with the receiver extensions:
+        :meth:`_sync`, :meth:`_detect`, :meth:`_decode` (once per
+        detection) and :meth:`_finish`.
         """
-        tracer = self.tracer
         report = ReceptionReport(sync=FrameSyncResult(detections=[]))
         x = self._front_end(iq, report.failures)
+        if not self._sync(report, [x], round_index, skip_energy_gate):
+            return report
+        self._detect(report, partial(self.user_detector.detect, x))
+        for det in report.detections:
+            decoder = self._decoders[det.user_id]
+            frame, _used = self._decode(report, det, partial(decoder.decode_frame, x, user_id=det.user_id))
+            report.frames.append(frame)
+        return self._finish(report, round_index)
+
+    def _sync(
+        self,
+        report: ReceptionReport,
+        buffers: List[np.ndarray],
+        round_index: int,
+        skip_energy_gate: bool = False,
+    ) -> bool:
+        """Frame sync; on a miss, record an empty ACK and return False.
+
+        Several *buffers* (antenna branches) are OR-combined: averaging
+        the envelopes would let a deeply faded branch dilute the
+        relative 3 dB rise the detector looks for on a healthy one.
+        """
+        tracer = self.tracer
         try:
             with tracer.span("frame_sync"):
-                report.sync = self.energy_detector.detect(x)
+                results = [self.energy_detector.detect(x) for x in buffers]
+            report.sync = results[0] if len(results) == 1 else FrameSyncResult(
+                detections=sorted({i for r in results for i in r.detections})
+            )
         except Exception as exc:
             self._contain(report, DecodeFailure("frame_sync", "exception", detail=str(exc)))
-        sync = report.sync
-        if not sync.detected and not skip_energy_gate:
-            tracer.count(C.FRAME_SYNC_MISSES)
-            report.ack = AckMessage.for_ids([], round_index)
-            return report
+        if report.sync.detected or skip_energy_gate:
+            return True
+        tracer.count(C.FRAME_SYNC_MISSES)
+        report.ack = AckMessage.for_ids([], round_index)
+        return False
 
+    def _detect(self, report: ReceptionReport, detect: Callable[[], List[UserDetection]]) -> None:
+        """User detection via *detect*, contained and traced."""
+        tracer = self.tracer
         try:
             with tracer.span("detect"):
-                report.detections = self.user_detector.detect(x)
+                report.detections = detect()
         except Exception as exc:
             self._contain(report, DecodeFailure("user_detection", "exception", detail=str(exc)))
         if tracer.enabled:
             tracer.count(C.DETECT_USERS, len(report.detections))
             for det in report.detections:
                 tracer.gauge(G.DETECT_SCORE, det.score)
-                if det.candidates and len(det.candidates) > 1:
+                if len(det.candidates) > 1:
                     # Margin of the chosen correlation peak over the
                     # runner-up alignment hypothesis.
                     scores = sorted((s for _o, s, _c in det.candidates), reverse=True)
                     tracer.gauge(G.DETECT_PEAK_MARGIN, scores[0] - scores[1])
-        for det in report.detections:
-            decoder = self._decoders[det.user_id]
-            # Multi-hypothesis decoding: the alternating preamble has
-            # +/-k-bit correlation images the detector cannot resolve
-            # by magnitude, so each near-maximal alignment is tried
-            # (earliest first) until one yields a CRC-valid frame
-            # (false-accept is 2^-16 per attempt, negligible across
-            # the handful of hypotheses).
-            candidates = det.candidates or ((det.offset, det.score, det.channel),)
-            frame = None
-            try:
-                with tracer.span("decode", user=det.user_id):
-                    for offset, _score, channel in candidates:
-                        attempt = decoder.decode_frame(x, offset, channel, user_id=det.user_id)
-                        if frame is None or (attempt.success and not frame.success):
-                            frame = attempt
-                        if attempt.success:
-                            break
-            except Exception as exc:
-                # Contain a decoder blow-up as a per-user failed frame:
-                # the report still accounts for the detection, and the
-                # other users' decodes proceed untouched.
-                self._contain(
-                    report,
-                    DecodeFailure("decode", "exception", user_id=det.user_id, detail=str(exc)),
-                )
-                frame = DecodedFrame(
-                    user_id=det.user_id, success=False, payload=None, reason="exception"
-                )
-            tracer.count(decode_outcome(frame.reason))
-            report.frames.append(frame)
 
+    def _decode(
+        self,
+        report: ReceptionReport,
+        det: UserDetection,
+        attempt: Callable[[int, Any], DecodedFrame],
+    ) -> Tuple[DecodedFrame, Optional[Tuple[int, Any]]]:
+        """Decode one detection; returns the frame and the
+        ``(offset, channel)`` candidate it came from.
+
+        Multi-hypothesis decoding: the alternating preamble has
+        +/-k-bit correlation images the detector cannot resolve by
+        magnitude, so *attempt(offset, channel)* runs on each candidate
+        alignment (earliest first) until one yields a CRC-valid frame
+        (false-accept is 2^-16 per attempt, negligible across the
+        handful of hypotheses).  A decoder blow-up is contained as a
+        per-user failed frame: the report still accounts for the
+        detection, and the other users' decodes proceed untouched.
+        """
+        tracer = self.tracer
+        frame: Optional[DecodedFrame] = None
+        used: Optional[Tuple[int, Any]] = None
+        try:
+            with tracer.span("decode", user=det.user_id):
+                for offset, _score, channel in det.candidates:
+                    got = attempt(offset, channel)
+                    if frame is None or (got.success and not frame.success):
+                        frame, used = got, (offset, channel)
+                    if got.success:
+                        break
+        except Exception as exc:
+            self._contain(
+                report,
+                DecodeFailure("decode", "exception", user_id=det.user_id, detail=str(exc)),
+            )
+            frame, used = None, None
+        if frame is None:
+            frame = DecodedFrame(user_id=det.user_id, success=False, payload=None, reason="exception")
+        tracer.count(decode_outcome(frame.reason))
+        return frame, used
+
+    def _finish(self, report: ReceptionReport, round_index: int) -> ReceptionReport:
+        """Ghost suppression, then the ACK of every decoded frame."""
         try:
             self._suppress_ghosts(report)
         except Exception as exc:

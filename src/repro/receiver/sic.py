@@ -11,23 +11,26 @@ touching the tags -- and where tag-side control still wins (SIC needs a
 *successful* decode to cancel; when the strong tag itself fails,
 nothing improves).
 
-The cancellation pipeline reuses the standard stages unchanged: only
-the orchestration differs from :class:`repro.receiver.receiver.CbmaReceiver`.
+The cancellation loop reuses the standard stages of
+:class:`repro.receiver.receiver.CbmaReceiver` (front end, frame sync,
+per-detection decode, ghost suppression and ACK); only the
+detect -> decode -> cancel iteration is its own.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List
 
 import numpy as np
 
-from repro.obs.taxonomy import C, decode_outcome
+from repro.obs.taxonomy import C
 from repro.phy.modulation import spread_bits, upsample_chips
-from repro.receiver.ack import AckMessage
 from repro.receiver.decoder import DecodedFrame
 from repro.receiver.failures import DecodeFailure
 from repro.receiver.frame_sync import FrameSyncResult
 from repro.receiver.receiver import CbmaReceiver, ReceptionReport
+from repro.receiver.user_detection import UserDetection
 from repro.tag.framing import FrameFormat
 from repro.utils.bits import pack_bits
 from repro.utils.contracts import array_contract
@@ -50,7 +53,7 @@ class SicReceiver(CbmaReceiver):
         self.max_passes = max_passes
 
     def process(self, iq: np.ndarray, round_index: int = 0, skip_energy_gate: bool = False) -> ReceptionReport:
-        """Iteratively decode and cancel until no new tag decodes.
+        """Iteratively detect, decode and cancel until no new tag decodes.
 
         Honours the same degradation contract as
         :meth:`CbmaReceiver.process`: malformed input is sanitised, and
@@ -61,124 +64,69 @@ class SicReceiver(CbmaReceiver):
         tracer = self.tracer
         report = ReceptionReport(sync=FrameSyncResult(detections=[]))
         x = self._front_end(iq, report.failures)
-        try:
-            with tracer.span("frame_sync"):
-                report.sync = self.energy_detector.detect(x)
-        except Exception as exc:
-            self._contain(report, DecodeFailure("frame_sync", "exception", detail=str(exc)))
-        if not report.sync.detected and not skip_energy_gate:
-            tracer.count(C.FRAME_SYNC_MISSES)
-            report.ack = AckMessage.for_ids([], round_index)
+        if not self._sync(report, [x], round_index, skip_energy_gate):
             return report
 
         succeeded: Dict[int, DecodedFrame] = {}
         failed: Dict[int, DecodedFrame] = {}
-        best_detections: Dict[int, object] = {}
+        best_detections: Dict[int, UserDetection] = {}
         residual = x
-        for _pass in range(self.max_passes):
+        for sic_pass in range(self.max_passes):
             try:
-                residual, progressed = self._run_pass(
-                    _pass, residual, succeeded, failed, best_detections, report
-                )
+                with tracer.span("sic", sic_pass=sic_pass):
+                    tracer.count(C.SIC_PASSES)
+                    with tracer.span("detect"):
+                        detections = self.user_detector.detect(residual)
+                    fresh = [d for d in detections if d.user_id not in succeeded]
+                    best_detections.update((d.user_id, d) for d in fresh)
+                    new_successes: List[tuple] = []
+                    for det in fresh:
+                        decoder = self._decoders[det.user_id]
+                        frame, used = self._decode(
+                            report, det, partial(decoder.decode_frame, residual, user_id=det.user_id)
+                        )
+                        if frame.success:
+                            new_successes.append((det, frame, used))
+                        else:
+                            # Remember the latest failure, but keep the
+                            # user eligible for the next pass:
+                            # cancellation may be exactly what rescues it.
+                            failed[det.user_id] = frame
+                    if not new_successes:
+                        break
+                    # Per-pass ghost dedup BEFORE committing: a wrong-code
+                    # correlator decodes the strongest frame bit-exact
+                    # (see _suppress_ghosts), and cancelling such a ghost
+                    # with the wrong code would corrupt the residual.
+                    # Keep only the highest-scoring owner of each
+                    # distinct payload; the losers stay eligible -- once
+                    # the true owner's frame is cancelled, their own
+                    # (weaker) frame becomes decodable.
+                    by_payload: Dict[bytes, list] = {}
+                    for entry in new_successes:
+                        by_payload.setdefault(entry[1].payload, []).append(entry)
+                    committed = [
+                        max(entries, key=lambda e: e[0].score) for entries in by_payload.values()
+                    ]
+                    for det, frame, (offset, channel) in committed:
+                        succeeded[det.user_id] = frame
+                        failed.pop(det.user_id, None)
+                        tracer.count(C.SIC_CANCELLATIONS)
+                        residual = self._cancel(residual, det.user_id, frame, offset, channel)
             except Exception as exc:
                 # A failed pass ends cancellation but keeps everything
                 # decoded so far: SIC degrades to "fewer passes", never
                 # to a crash.
                 self._contain(
-                    report, DecodeFailure("sic", "exception", detail=f"pass {_pass}: {exc}")
+                    report, DecodeFailure("sic", "exception", detail=f"pass {sic_pass}: {exc}")
                 )
                 break
-            if not progressed:
-                break
 
-        report.detections = sorted(
-            best_detections.values(), key=lambda d: d.score, reverse=True
-        )
+        report.detections = sorted(best_detections.values(), key=lambda d: d.score, reverse=True)
         report.frames = list(succeeded.values()) + [
             f for uid, f in failed.items() if uid not in succeeded
         ]
-        try:
-            self._suppress_ghosts(report)
-        except Exception as exc:
-            self._contain(report, DecodeFailure("decode", "ghost_suppression", detail=str(exc)))
-        report.ack = AckMessage.for_ids(
-            (f.user_id for f in report.frames if f.success), round_index
-        )
-        return report
-
-    def _run_pass(
-        self,
-        _pass: int,
-        residual: np.ndarray,
-        succeeded: Dict[int, DecodedFrame],
-        failed: Dict[int, DecodedFrame],
-        best_detections: Dict[int, object],
-        report: ReceptionReport,
-    ) -> tuple:
-        """One detect-decode-cancel pass; returns ``(residual, progressed)``."""
-        tracer = self.tracer
-        with tracer.span("sic", sic_pass=_pass):
-            tracer.count(C.SIC_PASSES)
-            with tracer.span("detect"):
-                detections = self.user_detector.detect(residual)
-            for det in detections:
-                if det.user_id not in succeeded:
-                    best_detections[det.user_id] = det
-            new_successes: List[tuple] = []
-            for det in detections:
-                if det.user_id in succeeded:
-                    continue
-                decoder = self._decoders[det.user_id]
-                candidates = det.candidates or ((det.offset, det.score, det.channel),)
-                frame = None
-                used = None
-                try:
-                    with tracer.span("decode", user=det.user_id):
-                        for offset, _score, channel in candidates:
-                            attempt = decoder.decode_frame(residual, offset, channel, user_id=det.user_id)
-                            if frame is None or (attempt.success and not frame.success):
-                                frame = attempt
-                                used = (offset, channel)
-                            if attempt.success:
-                                break
-                except Exception as exc:
-                    self._contain(
-                        report,
-                        DecodeFailure("decode", "exception", user_id=det.user_id, detail=str(exc)),
-                    )
-                    frame = DecodedFrame(
-                        user_id=det.user_id, success=False, payload=None, reason="exception"
-                    )
-                tracer.count(decode_outcome(frame.reason))
-                if frame.success:
-                    new_successes.append((det, frame, used))
-                else:
-                    # Remember the latest failure, but keep the user
-                    # eligible for the next pass: cancellation may be
-                    # exactly what rescues it.
-                    failed[det.user_id] = frame
-
-            if not new_successes:
-                return residual, False
-            # Per-pass ghost dedup BEFORE committing: a wrong-code
-            # correlator decodes the strongest frame bit-exact (see
-            # _suppress_ghosts), and cancelling such a ghost with the
-            # wrong code would corrupt the residual.  Keep only the
-            # highest-scoring owner of each distinct payload; the
-            # losers stay eligible -- once the true owner's frame is
-            # cancelled, their own (weaker) frame becomes decodable.
-            by_payload: Dict[bytes, list] = {}
-            for entry in new_successes:
-                by_payload.setdefault(entry[1].payload, []).append(entry)
-            committed = [
-                max(entries, key=lambda e: e[0].score) for entries in by_payload.values()
-            ]
-            for det, frame, (offset, channel) in committed:
-                succeeded[det.user_id] = frame
-                failed.pop(det.user_id, None)
-                tracer.count(C.SIC_CANCELLATIONS)
-                residual = self._cancel(residual, det.user_id, frame, offset, channel)
-        return residual, True
+        return self._finish(report, round_index)
 
     @array_contract(residual="(n) complex128", returns="(n) complex128")
     def _cancel(

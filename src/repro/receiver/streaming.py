@@ -257,17 +257,13 @@ class StreamingReceiver:
         -- the stacked FFT kernel computes each row independently
         (:func:`repro.utils.correlation_batch.sliding_correlation_many`),
         so the farm's cross-session batched gating can never flip a
-        decision the per-window gate would have made.  Falls back to
-        the per-window gate when the detector has no stacked bank
-        (ragged code book).
+        decision the per-window gate would have made.
         """
         windows = np.asarray(windows)
         if windows.ndim != 2:
             raise ValueError(f"windows must be a 2-D stack, got shape {windows.shape}")
         detector = self.receiver.user_detector
         bank = detector.bank
-        if bank is None:
-            return np.array([self.window_is_live(w) for w in windows], dtype=bool)
         if windows.shape[0] == 0:
             return np.zeros(0, dtype=bool)
         if windows.shape[1] < bank.template_samples:

@@ -18,13 +18,13 @@ consumed by the decoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.tag.framing import FrameFormat
 from repro.utils.contracts import array_contract
-from repro.utils.correlation import correlation_peaks, sliding_correlation
+from repro.utils.correlation import correlation_peaks
 from repro.utils.correlation_batch import TemplateBank, template_bank
 
 __all__ = ["UserDetector", "UserDetection"]
@@ -98,30 +98,16 @@ class UserDetector:
         # unipolar chip activity.  The stacked bank is memoised per
         # (format, codes, oversampling) and feeds the batched FFT
         # kernel; a ragged code book (no supported family produces one)
-        # falls back to the per-user direct loop.
-        self._bank: Optional[TemplateBank] = None
-        try:
-            self._bank = template_bank(self.fmt, self.codes, samples_per_chip)
-        except ValueError:
-            self._bank = None
-        if self._bank is not None:
-            self._templates: Dict[int, np.ndarray] = {
-                uid: self._bank.template(uid) for uid in self.codes
-            }
-        else:
-            from repro.phy.modulation import spread_bits, upsample_chips
-            from repro.utils.bits import bits_to_bipolar
-
-            self._templates = {
-                uid: upsample_chips(
-                    bits_to_bipolar(spread_bits(self.fmt.preamble, code)), samples_per_chip
-                )
-                for uid, code in self.codes.items()
-            }
+        # cannot stack and is rejected here with ValueError.
+        self._bank = template_bank(self.fmt, self.codes, samples_per_chip)
+        self._templates = {uid: self._bank.template(uid) for uid in self.codes}
+        # Emit rows in this detector's code order (the cached bank may
+        # have been built by a detector with another dict order).
+        self._rows = [(uid, self._bank.user_ids.index(uid)) for uid in self.codes]
 
     @property
-    def bank(self) -> Optional[TemplateBank]:
-        """The stacked template bank (``None`` for a ragged code book)."""
+    def bank(self) -> TemplateBank:
+        """The stacked template bank of this detector's code book."""
         return self._bank
 
     def template(self, user_id: int) -> np.ndarray:
@@ -136,26 +122,16 @@ class UserDetector:
     ) -> Iterable[Tuple[int, np.ndarray]]:
         """``(user_id, normalised sliding correlation)`` per user.
 
-        One batched FFT pass over the stacked bank when available (the
-        hot path: shared window FFT + shared window-energy cumsum),
-        otherwise the legacy per-user direct loop.  Users whose
-        template is longer than the window yield nothing.
+        One batched FFT pass over the stacked bank (shared window FFT +
+        shared window-energy cumsum).  A window shorter than the
+        templates yields nothing.
         """
         x = np.asarray(window)
-        if self._bank is not None:
-            if x.size < self._bank.template_samples:
-                return
-            corr = self._bank.correlate(x, backend=backend)
-            # Emit in this detector's code order (the cached bank may
-            # have been built by a detector with another dict order).
-            row_of = {uid: row for row, uid in enumerate(self._bank.user_ids)}
-            for uid in self.codes:
-                yield uid, corr[row_of[uid]]
+        if x.size < self._bank.template_samples:
             return
-        for uid, template in self._templates.items():
-            if x.size < template.size:
-                continue
-            yield uid, sliding_correlation(x, template, normalize=True)
+        corr = self._bank.correlate(x, backend=backend)
+        for uid, row in self._rows:
+            yield uid, corr[row]
 
     @array_contract(window="(n) complex128")
     def detect(self, window: np.ndarray, max_users: Optional[int] = None) -> List[UserDetection]:
@@ -167,9 +143,29 @@ class UserDetector:
         by descending score, truncated to *max_users* when given.
         """
         x = np.asarray(window)
+
+        def channel_at(template: np.ndarray, k: int) -> complex:
+            # Least-squares complex gain of a unit-amplitude chip:
+            # h = <x, t> / ||t||^2 with t the bipolar template.
+            segment = x[k : k + template.size]
+            return complex(np.vdot(template, segment) / float(np.vdot(template, template).real))
+
+        out = self.rank(self.correlation_rows(x), channel_at)
+        return out if max_users is None else out[:max_users]
+
+    def rank(
+        self,
+        rows: Iterable[Tuple[int, np.ndarray]],
+        channel_at: Callable[[np.ndarray, int], Any],
+    ) -> List[UserDetection]:
+        """Turn per-user correlation rows into detections, best first.
+
+        A user is present when its row peaks at or above the threshold.
+        *channel_at(template, k)* estimates the channel at alignment
+        *k*; it runs once per candidate alignment.
+        """
         out: List[UserDetection] = []
-        for uid, corr in self.correlation_rows(x):
-            template = self._templates[uid]
+        for uid, corr in rows:
             if corr.size == 0:
                 continue
             best = int(np.argmax(corr))
@@ -195,26 +191,15 @@ class UserDetector:
             # usually the true preamble (or a +/-1-bit image of it).
             if best not in ranked:
                 ranked = sorted(ranked + [best])
-            candidates = []
-            for k in ranked:
-                segment = x[k : k + template.size]
-                # Least-squares complex gain of a unit-amplitude chip:
-                # h = <x, t> / ||t||^2 with t the bipolar template.
-                h = complex(np.vdot(template, segment) / float(np.vdot(template, template).real))
-                candidates.append((int(k), float(corr[k]), h))
-            if not candidates:
-                segment = x[best : best + template.size]
-                h = complex(np.vdot(template, segment) / float(np.vdot(template, template).real))
-                candidates = [(best, score, h)]
+            template = self._templates[uid]
+            candidates = tuple((k, float(corr[k]), channel_at(template, k)) for k in ranked)
             # Report the strongest candidate as the detection's headline
             # offset/score (used for ranking and ghost arbitration).
-            peak, score, h = max(candidates, key=lambda c: c[1])
+            peak, score, channel = max(candidates, key=lambda c: c[1])
             out.append(
                 UserDetection(
-                    user_id=uid, offset=peak, score=score, channel=h, candidates=tuple(candidates)
+                    user_id=uid, offset=peak, score=score, channel=channel, candidates=candidates
                 )
             )
         out.sort(key=lambda d: d.score, reverse=True)
-        if max_users is not None:
-            out = out[:max_users]
         return out

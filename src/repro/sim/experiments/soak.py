@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,7 @@ __all__ = [
     "CampaignOutcome",
     "build_soak_stack",
     "build_soak_stream",
+    "check_frame_stream",
     "check_invariants",
     "run_soak",
     "random_fault_plan",
@@ -260,6 +261,43 @@ def build_soak_stream(
     return buffer, offered
 
 
+def check_frame_stream(
+    frames: Sequence[StreamFrame], tolerance: int, where: str = ""
+) -> List[InvariantViolation]:
+    """Duplicate-freedom and start order of one emitted frame stream.
+
+    A frame whose (user, payload) repeats within *tolerance* samples of
+    its last occurrence is a ``duplicate_frame``; a start earlier than
+    the previous frame's is an ``order`` violation.  *where* prefixes
+    each detail (e.g. ``"stream 3 "``).  Shared by the session soak and
+    the gateway soak.
+    """
+    out: List[InvariantViolation] = []
+    last_by_key: Dict[Tuple[int, bytes], int] = {}
+    prev_start = None
+    for k, f in enumerate(frames):
+        key = (f.user_id, f.payload)
+        prev = last_by_key.get(key)
+        if prev is not None and abs(f.start_sample - prev) < tolerance:
+            out.append(
+                InvariantViolation(
+                    "duplicate_frame",
+                    f"{where}frame #{k} user {f.user_id} payload {f.payload.hex()} at "
+                    f"{f.start_sample} duplicates one at {prev}",
+                )
+            )
+        last_by_key[key] = f.start_sample
+        if prev_start is not None and f.start_sample < prev_start:
+            out.append(
+                InvariantViolation(
+                    "order",
+                    f"{where}frame #{k} start {f.start_sample} emitted after start {prev_start}",
+                )
+            )
+        prev_start = f.start_sample
+    return out
+
+
 def check_invariants(
     cfg: SoakConfig,
     stream: StreamingReceiver,
@@ -271,31 +309,7 @@ def check_invariants(
     Module-level (rather than a method) so chaos tests can substitute
     a stricter or deliberately-tripping checker.
     """
-    out: List[InvariantViolation] = []
-    tolerance = stream.frame_samples // 2
-
-    last_by_key: Dict[Tuple[int, bytes], int] = {}
-    prev_start = None
-    for k, f in enumerate(frames):
-        key = (f.user_id, f.payload)
-        prev = last_by_key.get(key)
-        if prev is not None and abs(f.start_sample - prev) < tolerance:
-            out.append(
-                InvariantViolation(
-                    "duplicate_frame",
-                    f"frame #{k} user {f.user_id} payload {f.payload.hex()} at "
-                    f"{f.start_sample} duplicates one at {prev}",
-                )
-            )
-        last_by_key[key] = f.start_sample
-        if prev_start is not None and f.start_sample < prev_start:
-            out.append(
-                InvariantViolation(
-                    "order",
-                    f"frame #{k} start {f.start_sample} emitted after start {prev_start}",
-                )
-            )
-        prev_start = f.start_sample
+    out = check_frame_stream(frames, stream.frame_samples // 2)
 
     bound = cfg.dedup_bound_factor * cfg.n_tags
     if session.dedup.peak_size > bound:

@@ -6,7 +6,9 @@ throughout the library:
 - :mod:`repro.utils.bits` -- bit/byte packing and conversions.
 - :mod:`repro.utils.crc` -- table-driven CRC-16 implementations.
 - :mod:`repro.utils.db` -- decibel and linear power conversions.
-- :mod:`repro.utils.correlation` -- sliding and normalised correlation.
+- :mod:`repro.utils.correlation` -- normalised correlation, peak picking
+  and the denominator guard (the sliding kernel lives in
+  :mod:`repro.utils.correlation_batch`).
 - :mod:`repro.utils.rng` -- reproducible random number generation.
 - :mod:`repro.utils.validation` -- argument checking helpers.
 """
@@ -31,7 +33,6 @@ from repro.utils.db import (
 )
 from repro.utils.correlation import (
     normalized_correlation,
-    sliding_correlation,
     correlation_peaks,
 )
 from repro.utils.rng import child_rngs, make_rng, spawn_seed
@@ -59,7 +60,6 @@ __all__ = [
     "power_ratio_db",
     "watts_to_dbm",
     "normalized_correlation",
-    "sliding_correlation",
     "correlation_peaks",
     "child_rngs",
     "make_rng",

@@ -152,7 +152,7 @@ def array_contract(returns: Optional[str] = None, **params: str) -> Callable[[F]
     Example::
 
         @array_contract(x="(n) complex128", template="(m) complex128")
-        def sliding_correlation(x, template): ...
+        def correlate(x, template): ...
 
     The parsed specs are attached as ``fn.__array_contract__`` (what
     LNT004 reads).  Runtime checking only happens while

@@ -5,7 +5,9 @@ and chip decoding (paper Sec. III-B) -- are all built on correlation:
 
 - *sliding correlation* of a known preamble/PN template against the
   incoming sample stream locates frames and identifies which tag's PN
-  code is present;
+  code is present (the batched kernel in
+  :mod:`repro.utils.correlation_batch`; :func:`correlation_peaks` picks
+  its peaks);
 - *normalised correlation* against the per-bit chip templates decides
   each bit.
 
@@ -15,8 +17,6 @@ chips as well as complex baseband samples.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.utils.contracts import array_contract
@@ -25,9 +25,7 @@ __all__ = [
     "DENOM_FLOOR",
     "guard_denominator",
     "normalized_correlation",
-    "sliding_correlation",
     "correlation_peaks",
-    "best_alignment",
 ]
 
 #: Smallest denominator treated as carrying signal: the smallest
@@ -72,38 +70,6 @@ def normalized_correlation(x: np.ndarray, template: np.ndarray) -> float:
     return float(np.abs(np.vdot(template, x)) / denom)
 
 
-@array_contract(signal="(n) any", template="(m) any")
-def sliding_correlation(signal: np.ndarray, template: np.ndarray, normalize: bool = True) -> np.ndarray:
-    """Correlate *template* against every alignment of *signal*.
-
-    Returns an array of length ``len(signal) - len(template) + 1`` where
-    entry ``k`` is the (optionally normalised) correlation of
-    ``signal[k:k+len(template)]`` with the template.
-
-    The un-normalised path is a plain FFT-free vectorised dot product via
-    :func:`numpy.convolve`; the normalised path divides by the local
-    signal energy so that strong interferers do not masquerade as peaks.
-    """
-    signal = np.asarray(signal)
-    template = np.asarray(template)
-    n, m = signal.size, template.size
-    if m == 0:
-        raise ValueError("template must be non-empty")
-    if n < m:
-        return np.zeros(0, dtype=np.float64)
-    # Cross-correlation == convolution with conjugate-reversed template.
-    raw = np.convolve(signal, np.conj(template[::-1]), mode="valid")
-    mags = np.abs(raw)
-    if not normalize:
-        return mags
-    # Local energy of each length-m window, computed with a cumulative sum.
-    power = np.abs(signal) ** 2
-    csum = np.concatenate(([0.0], np.cumsum(power)))
-    window_energy = guard_denominator(csum[m:] - csum[:-m])
-    denom = guard_denominator(np.sqrt(window_energy) * np.linalg.norm(template))
-    return mags / denom
-
-
 def correlation_peaks(corr: np.ndarray, threshold: float, min_spacing: int = 1) -> np.ndarray:
     """Indices of local maxima in *corr* that exceed *threshold*.
 
@@ -143,12 +109,3 @@ def correlation_peaks(corr: np.ndarray, threshold: float, min_spacing: int = 1) 
         hi = int(np.searchsorted(candidates, candidates[i] + min_spacing, side="left"))
         alive[lo:hi] = False
     return candidates[accepted].astype(np.int64)
-
-
-def best_alignment(signal: np.ndarray, template: np.ndarray) -> Tuple[int, float]:
-    """Offset and score of the best template alignment within *signal*."""
-    corr = sliding_correlation(signal, template, normalize=True)
-    if corr.size == 0:
-        return 0, 0.0
-    idx = int(np.argmax(corr))
-    return idx, float(corr[idx])

@@ -3,9 +3,8 @@
 Every receiver stage (frame sync hypotheses, user detection, diversity
 combining, the streaming window walk) reduces to the same primitive:
 correlate *U* equal-length user templates against every alignment of
-one sample window.  :func:`repro.utils.correlation.sliding_correlation`
-does that one template at a time with an O(n*m) ``np.convolve``; this
-module does all *U* templates in one vectorised pass:
+one sample window.  This module does all *U* templates in one
+vectorised pass:
 
 - the window's FFT is computed **once** and shared by every template
   (cross-correlation is a product in the frequency domain);
@@ -14,8 +13,9 @@ module does all *U* templates in one vectorised pass:
 - long windows fall back to **overlap-save** blocks so memory stays
   bounded by the block size, not the buffer length.
 
-The kernel is numerically interchangeable with the direct path: same
-normalisation, same :func:`~repro.utils.correlation.guard_denominator`
+The ``fft`` backend is numerically interchangeable with the ``direct``
+backend (one O(n*m) ``np.convolve`` per template, kept as the
+reference): same normalisation, same :func:`~repro.utils.correlation.guard_denominator`
 epsilon policy, agreement to ~1e-12 relative (FFT rounding only).  The
 environment variable ``REPRO_CORR_BACKEND`` (``fft`` | ``direct``)
 forces a backend globally -- the escape hatch if an FFT library ever
@@ -170,14 +170,12 @@ def sliding_correlation_batch(
         2-D stack ``(U, m)`` of equal-length templates.
     normalize:
         Divide each alignment by the local window energy (shared cumsum
-        across all rows) times the row's template norm -- identical to
-        :func:`repro.utils.correlation.sliding_correlation`.
+        across all rows) times the row's template norm.
     backend:
         ``"fft"`` | ``"direct"`` | ``None`` (defer to
         ``REPRO_CORR_BACKEND``, default ``fft``).  The direct backend
-        reproduces the legacy per-template ``np.convolve`` loop
-        bit-for-bit; the fft backend matches it to FFT rounding
-        (~1e-12 relative).
+        is a per-template ``np.convolve`` loop, the reference the fft
+        backend matches to FFT rounding (~1e-12 relative).
 
     Returns
     -------
@@ -368,8 +366,8 @@ def template_bank(
 
     *codes* maps user id -> 0/1 PN chip array; all codes must share one
     length (a mixed-length book cannot stack, and no supported code
-    family produces one -- callers should fall back to the per-user
-    path if they ever need ragged codes).  The cache key fingerprints
+    family produces one): a ragged book raises ``ValueError``.  The
+    cache key fingerprints
     the preamble bits, the code bits and the oversampling factor, so
     logically identical inputs hit the same bank regardless of object
     identity.

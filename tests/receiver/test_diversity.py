@@ -126,3 +126,23 @@ class TestDiversityReceiver:
         branches, _ = simulate_diversity_round(scen, {0: b"only branch 0"}, gains, rng)
         rx = DiversityReceiver({0: codes[0]}, samples_per_chip=SPC, n_antennas=2)
         assert rx.process_branches(branches).decoded_payloads() == {0: b"only branch 0"}
+
+    def test_process_branches_sanitises_every_branch(self):
+        """Non-finite samples are repaired and recorded, exactly as the
+        single-buffer pipeline does, instead of poisoning the decode."""
+        codes = twonc_codes(1, 64)
+        rng = np.random.default_rng(5)
+        noise = NoiseModel()
+        amp = np.sqrt(noise.power_w * 10 ** (5 / 10)) / 0.432
+        scen = _scenario(1, amp, rng, codes)
+        gains = np.array([[1.0], [0.8j]])
+        branches, _ = simulate_diversity_round(scen, {0: b"nan burst"}, gains, rng)
+        for b in branches:
+            b[700:760] = np.nan
+        rx = DiversityReceiver({0: codes[0]}, samples_per_chip=SPC, n_antennas=2)
+        single = rx.process(branches[0])
+        report = rx.process_branches(branches)
+        for r in (single, report):
+            assert [(f.stage, f.reason) for f in r.failures[:1]] == [("input", "non_finite")]
+            assert r.decoded_payloads() == {0: b"nan burst"}
+        assert len(report.failures) == 2  # one record per branch

@@ -5,6 +5,7 @@ import pytest
 
 from repro.codes import twonc_codes
 from repro.phy.modulation import fractional_delay, ook_baseband, upsample_chips
+from repro.receiver import CbmaReceiver
 from repro.receiver.decoder import ChipDecoder
 from repro.receiver.user_detection import UserDetector
 from repro.tag.framing import FrameFormat
@@ -79,6 +80,15 @@ class TestUserDetector:
     def test_bad_spc_rejected(self):
         with pytest.raises(ValueError):
             UserDetector({0: self.codes[0]}, samples_per_chip=0)
+
+    def test_ragged_code_book_rejected_at_build(self):
+        """Codes of mixed length cannot stack into one template bank;
+        the detector (and so the receiver) refuses them up front."""
+        ragged = {0: self.codes[0], 1: twonc_codes(2, 64)[1]}
+        with pytest.raises(ValueError, match="one length"):
+            UserDetector(ragged)
+        with pytest.raises(ValueError, match="one length"):
+            CbmaReceiver(ragged)
 
 
 class TestChipDecoder:

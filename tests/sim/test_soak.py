@@ -12,9 +12,11 @@ import pytest
 from repro.faults import BurstInterferer, FaultPlan, OscillatorDrift, TagDropout
 from repro.receiver.session import SessionSupervisor
 from repro.sim.experiments import soak as soak_mod
+from repro.receiver.streaming import StreamFrame
 from repro.sim.experiments.soak import (
     SoakConfig,
     build_soak_stack,
+    check_frame_stream,
     build_soak_stream,
     random_fault_plan,
     run_campaign,
@@ -98,6 +100,20 @@ class TestAcceptanceSoak:
         key = lambda fs: [(f.user_id, f.payload, f.start_sample) for f in fs]
         assert key(frames) == key(acceptance.frames)
         assert resumed.state.value == acceptance.final_state
+
+
+class TestFrameStreamCheck:
+    """The duplicate/order check both soak harnesses share."""
+
+    def test_clean_stream_passes(self):
+        frames = [StreamFrame(0, b"a", 100), StreamFrame(1, b"a", 100), StreamFrame(0, b"a", 400)]
+        assert check_frame_stream(frames, tolerance=200) == []
+
+    def test_duplicate_and_order_named(self):
+        frames = [StreamFrame(0, b"a", 500), StreamFrame(0, b"a", 420), StreamFrame(1, b"b", 900)]
+        violations = check_frame_stream(frames, tolerance=200, where="stream 3 ")
+        assert [v.name for v in violations] == ["duplicate_frame", "order"]
+        assert all(v.detail.startswith("stream 3 frame #1 ") for v in violations)
 
 
 class TestStreamSynthesis:

@@ -1,4 +1,5 @@
-"""Unit tests for repro.utils.correlation."""
+"""Unit tests for repro.utils.correlation (and the single-template
+view of the batched kernel's ``direct`` reference backend)."""
 
 import numpy as np
 import pytest
@@ -6,12 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.utils.correlation import (
     DENOM_FLOOR,
-    best_alignment,
     correlation_peaks,
     guard_denominator,
     normalized_correlation,
-    sliding_correlation,
 )
+from repro.utils.correlation_batch import sliding_correlation_batch
+
+
+def sliding_correlation(signal, template, normalize=True):
+    """One template through the batched kernel's direct backend."""
+    templates = np.asarray(template)[None, :]
+    return sliding_correlation_batch(signal, templates, normalize=normalize, backend="direct")[0]
 
 
 class TestGuardDenominator:
@@ -204,14 +210,16 @@ class TestCorrelationPeaks:
 
 
 class TestBestAlignment:
+    """The best alignment is the argmax of the normalised correlation."""
+
     def test_returns_offset_and_score(self):
         rng = np.random.default_rng(9)
         template = np.sign(rng.normal(size=24))
         signal = np.concatenate([0.05 * rng.normal(size=13), template])
-        offset, score = best_alignment(signal, template)
-        assert offset == 13
-        assert score > 0.9
+        corr = sliding_correlation(signal, template)
+        assert int(np.argmax(corr)) == 13
+        assert corr.max() > 0.9
 
     def test_degenerate(self):
-        offset, score = best_alignment(np.zeros(3), np.ones(8))
-        assert (offset, score) == (0, 0.0)
+        """A signal shorter than the template has no alignment."""
+        assert sliding_correlation(np.zeros(3), np.ones(8)).size == 0
