@@ -3,7 +3,8 @@
 Deployed backscatter networks fail in ways the paper's bench never
 sees: tags brown out mid-frame, RC clocks drift off the chip grid,
 jammers stomp the band, front ends clip, ACKs vanish, impedance
-switches wedge.  This package makes every one of those an injectable,
+switches wedge -- and above the PHY, traffic spikes and capacity
+brownouts load the ingestion gateway.  This package makes every one of those an injectable,
 *deterministic* experiment:
 
 - :mod:`repro.faults.models` -- the fault catalog (what can go wrong);
@@ -23,10 +24,12 @@ from repro.faults.models import (
     AckLoss,
     AdcSaturation,
     BurstInterferer,
+    CapacityBrownout,
     OscillatorDrift,
     StuckImpedance,
     TagBrownout,
     TagDropout,
+    TrafficSpike,
 )
 from repro.faults.plan import FaultPlan, RoundFaults, TagTxFault
 
@@ -41,5 +44,7 @@ __all__ = [
     "AdcSaturation",
     "AckLoss",
     "StuckImpedance",
+    "TrafficSpike",
+    "CapacityBrownout",
     "FAULT_REASONS",
 ]

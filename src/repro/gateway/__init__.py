@@ -10,9 +10,12 @@ Public surface:
   FULL -> THROTTLED -> SHED -> DRAINING ladder.
 - :class:`TokenBucket` / :class:`RetryPolicy` -- admission primitives.
 - :mod:`repro.gateway.soak` -- the deterministic chaos-soak harness
-  (:func:`~repro.gateway.soak.run_gateway_soak`) with gateway-level
-  fault plans that shrink through
-  :func:`repro.sim.experiments.soak.shrink_fault_plan`.
+  (:func:`~repro.gateway.soak.run_gateway_soak`).  Its
+  :class:`~repro.gateway.soak.GatewayFaultPlan` is a
+  :class:`~repro.faults.FaultPlan` narrowed to the load models, so it
+  shares the plan JSON format and shrinks through
+  :func:`repro.sim.experiments.soak.shrink_fault_plan`; the
+  ``repro gateway soak --artifact`` file replays via ``--plan``.
 """
 
 from repro.gateway.admission import RetryPolicy, TokenBucket

@@ -21,6 +21,7 @@ from repro.gateway.soak import (
     random_gateway_fault_plan,
     run_gateway_soak,
 )
+from repro.faults import FaultPlan, TagDropout
 from repro.gateway.gateway import StreamReport
 from repro.sim.experiments.soak import SoakConfig, shrink_fault_plan
 
@@ -81,12 +82,22 @@ class TestFaultPlan:
         assert clone.faults == plan.faults
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown gateway fault kind"):
+        with pytest.raises(ValueError, match="unknown fault kind"):
             GatewayFaultPlan.from_dict(
                 {"faults": [{"kind": "meteor_strike"}], "seed": 0}
             )
         with pytest.raises(TypeError):
             GatewayFaultPlan([object()])
+        # Session and load models do not mix in either plan class,
+        # built directly or loaded, and a non-plan dict fails closed.
+        with pytest.raises(TypeError):
+            GatewayFaultPlan([TagDropout()])
+        with pytest.raises(TypeError):
+            FaultPlan([TrafficSpike()])
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            GatewayFaultPlan.from_dict(FaultPlan([TagDropout()]).to_dict())
+        with pytest.raises(ValueError, match="no 'faults' entry"):
+            GatewayFaultPlan.from_dict({"config": {}, "plan": harsh_plan().to_dict()})
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -95,6 +106,10 @@ class TestFaultPlan:
             CapacityBrownout(factor=1.5)
         with pytest.raises(ValueError):
             TrafficSpike(start_round=-1)
+        with pytest.raises(ValueError, match="empty fault window"):
+            TrafficSpike(start_round=5, end_round=2)
+        with pytest.raises(ValueError, match="empty fault window"):
+            CapacityBrownout(start_round=4, end_round=4)
 
     def test_random_plan_is_seed_deterministic(self):
         a = random_gateway_fault_plan(5, 12)
