@@ -228,7 +228,6 @@ class TestCampaigns:
         for k, outcome in enumerate(outcomes):
             assert outcome.campaign == k
             assert outcome.result.violations == []
-            assert outcome.shrunken is None
 
     def test_injected_violation_is_shrunk(self, monkeypatch):
         """A deliberately-tripping invariant checker must surface as a
