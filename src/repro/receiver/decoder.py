@@ -24,14 +24,14 @@ import numpy as np
 from repro.obs.taxonomy import C
 from repro.obs.tracer import as_tracer
 from repro.phy.modulation import upsample_chips
-from repro.tag.framing import FrameError, FrameFormat, MAX_PAYLOAD_BYTES
-from repro.utils.bits import bits_to_bipolar, bits_to_bytes, pack_bits
+from repro.tag.framing import FrameFormat
+from repro.utils.bits import bits_to_bipolar
 from repro.utils.contracts import array_contract
 
 __all__ = ["ChipDecoder", "DecodedFrame"]
 
-#: ``slice_bits(start, n_bits)``: decide *n_bits* bits from sample
-#: *start* on, or ``None`` when the window ends first.
+#: ``slice_bits(start, n_bits)``: decide *n_bits* uint8 0/1 bits from
+#: sample *start* on, or ``None`` when the window ends first.
 Slicer = Callable[[int, int], Optional[np.ndarray]]
 
 
@@ -139,22 +139,19 @@ class ChipDecoder:
         length_bits = slice_bits(body_start, 8)
         if length_bits is None:
             return DecodedFrame(user_id, False, None, "truncated")
-        length = int(bits_to_bytes(length_bits)[0])
-        if length > MAX_PAYLOAD_BYTES:
+        need = self.fmt.rest_bits(length_bits)
+        if need is None:
             return DecodedFrame(user_id, False, None, "length", raw_bits=length_bits)
 
-        rest_bits = slice_bits(body_start + 8 * self.block_samples, 8 * length + 16)
+        rest_bits = slice_bits(body_start + 8 * self.block_samples, need)
         if rest_bits is None:
             return DecodedFrame(user_id, False, None, "truncated", raw_bits=length_bits)
 
-        frame_bits = pack_bits(self.fmt.preamble, length_bits, rest_bits)
-        raw_bits = pack_bits(length_bits, rest_bits)
-        tracer = self.tracer
-        try:
-            with tracer.span("crc"):
-                frame = self.fmt.parse(frame_bits, check_preamble=False)
-        except FrameError:
-            tracer.count(C.CRC_FAIL)
+        raw_bits = np.concatenate([length_bits, rest_bits])
+        with self.tracer.span("crc"):
+            payload = self.fmt.open_body(raw_bits)
+        if payload is None:
+            self.tracer.count(C.CRC_FAIL)
             return DecodedFrame(user_id, False, None, "crc", raw_bits=raw_bits)
-        tracer.count(C.CRC_OK)
-        return DecodedFrame(user_id, True, frame.payload, "ok", raw_bits=raw_bits)
+        self.tracer.count(C.CRC_OK)
+        return DecodedFrame(user_id, True, payload, "ok", raw_bits=raw_bits)

@@ -31,8 +31,6 @@ from repro.receiver.failures import DecodeFailure
 from repro.receiver.frame_sync import FrameSyncResult
 from repro.receiver.receiver import CbmaReceiver, ReceptionReport
 from repro.receiver.user_detection import UserDetection
-from repro.tag.framing import FrameFormat
-from repro.utils.bits import pack_bits
 from repro.utils.contracts import array_contract
 
 __all__ = ["SicReceiver"]
@@ -139,17 +137,15 @@ class SicReceiver(CbmaReceiver):
     ) -> np.ndarray:
         """Subtract the reconstructed frame of *user_id* from *residual*.
 
-        The frame is re-encoded exactly as the tag sent it (preamble +
-        decoded body bits, spread, upsampled) and removed by a joint
+        The frame is re-encoded exactly as the tag sent it (rebuilt from
+        its CRC-checked payload, spread, upsampled) and removed by a joint
         least-squares fit of its chip shape and a local constant over a
         small grid of sub-sample timing hypotheses -- see the inline
         comments for why each piece is needed.
         """
-        fmt: FrameFormat = self.fmt
-        if frame.raw_bits is None or preamble_offset < 0:
+        if frame.payload is None or preamble_offset < 0:
             return residual
-        bits = pack_bits(fmt.preamble, frame.raw_bits)
-        chips = spread_bits(bits, self.codes[user_id])
+        chips = spread_bits(self.fmt.build(frame.payload), self.codes[user_id])
         unit = upsample_chips(chips, self.samples_per_chip).astype(np.float64)
 
         # Fractional-offset refinement: the detector's peak is integer,

@@ -167,6 +167,7 @@ class CbmaNetwork:
         self.rng = make_rng(config.seed)
         self.tracer = as_tracer(tracer)
         self.fmt = config.frame_format()
+        self.frame_duration_s = config.frame_duration_s()
         self.codes = make_codes(config.code_family, config.n_tags, config.code_length)
         self.fixed_offsets_chips = (
             list(fixed_offsets_chips) if fixed_offsets_chips is not None else None
@@ -406,7 +407,7 @@ class CbmaNetwork:
                             tracer.count(C.ERRORS_NOT_DECODED)
                         else:
                             tracer.count(C.ERRORS_WRONG_PAYLOAD)
-            metrics.add_time(cfg.frame_duration_s())
+            metrics.add_time(self.frame_duration_s)
         return metrics
 
     def run_rounds(self, n_rounds: int, active_ids: Optional[Sequence[int]] = None) -> MetricsAccumulator:

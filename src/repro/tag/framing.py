@@ -7,23 +7,17 @@ A frame is::
 The default preamble is the paper's one byte ``10101010``; the frame
 detection study (Fig. 8(c)) sweeps the preamble over 4..64 bits, so
 the length is configurable.  The length byte counts payload bytes; the
-CRC covers length + payload.
+CRC covers length + payload.  :class:`FrameFormat` owns this layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from repro.utils.bits import (
-    as_bit_array,
-    bits_to_bytes,
-    bytes_to_bits,
-    int_to_bits,
-    pack_bits,
-    unpack_bits,
-)
+from repro.utils.bits import as_bit_array, bytes_to_bits
 from repro.utils.crc import CRC16_CCITT, Crc16
 
 __all__ = ["FrameFormat", "Frame", "DEFAULT_PREAMBLE", "MAX_PAYLOAD_BYTES", "FrameError"]
@@ -37,11 +31,6 @@ class FrameError(ValueError):
     """Raised when bits cannot be parsed as a valid frame."""
 
 
-def _alternating_preamble(n_bits: int) -> np.ndarray:
-    """Extend the paper's alternating pattern to *n_bits*."""
-    return np.array([(i + 1) % 2 for i in range(n_bits)], dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class FrameFormat:
     """Frame geometry shared by tags and the receiver.
@@ -50,20 +39,24 @@ class FrameFormat:
     ----------
     preamble:
         The known preamble bit pattern (default: the paper's
-        ``10101010``).
+        ``10101010``), as 0/1 bits or a ``"1010"`` string; validated
+        and stored as a uint8 bit array.
     crc:
         CRC implementation covering the length byte and payload.
     """
 
-    preamble: np.ndarray = field(default_factory=lambda: as_bit_array(DEFAULT_PREAMBLE))
+    preamble: np.ndarray = DEFAULT_PREAMBLE
     crc: Crc16 = CRC16_CCITT
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "preamble", as_bit_array(self.preamble))
 
     @classmethod
     def with_preamble_bits(cls, n_bits: int) -> "FrameFormat":
         """Format with an alternating preamble of *n_bits* (Fig. 8(c) sweep)."""
         if n_bits < 1:
             raise ValueError("preamble must have at least 1 bit")
-        return cls(preamble=_alternating_preamble(n_bits))
+        return cls(preamble=("10" * n_bits)[:n_bits])
 
     @property
     def preamble_bits(self) -> int:
@@ -88,10 +81,25 @@ class FrameFormat:
         payload = bytes(payload)
         if len(payload) > MAX_PAYLOAD_BYTES:
             raise ValueError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD_BYTES}")
-        length_bits = int_to_bits(len(payload), 8)
-        body = pack_bits(length_bits, bytes_to_bits(payload))
-        crc_bits = self.crc.compute_bits(body)
-        return pack_bits(self.preamble, body, crc_bits)
+        body = bytes([len(payload)]) + payload
+        crc = self.crc.compute(body).to_bytes(2, "big")
+        return np.concatenate([self.preamble, bytes_to_bits(body + crc)])
+
+    def rest_bits(self, length_bits: np.ndarray) -> Optional[int]:
+        """Payload + CRC bits after the trusted 8 *length_bits* (uint8
+        0/1, not re-validated); ``None`` for an implausible length."""
+        length = int(np.packbits(length_bits)[0])
+        if length > MAX_PAYLOAD_BYTES:
+            return None
+        return 8 * length + 16
+
+    def open_body(self, body_bits: np.ndarray) -> Optional[bytes]:
+        """The payload of trusted length + payload + CRC bits (uint8 0/1,
+        not re-validated); ``None`` on a CRC mismatch."""
+        data = np.packbits(body_bits).tobytes()
+        if self.crc.compute(data[:-2]) != int.from_bytes(data[-2:], "big"):
+            return None
+        return data[1:-2]
 
     def parse(self, bits: np.ndarray, check_preamble: bool = True) -> "Frame":
         """Parse frame bits back into a :class:`Frame`.
@@ -104,21 +112,19 @@ class FrameFormat:
         arr = as_bit_array(bits)
         if arr.size < self.overhead_bits():
             raise FrameError(f"{arr.size} bits shorter than minimum frame {self.overhead_bits()}")
-        preamble, rest = unpack_bits(arr, self.preamble_bits, -1)
-        if check_preamble and not np.array_equal(preamble, self.preamble):
+        if check_preamble and not np.array_equal(arr[: self.preamble_bits], self.preamble):
             raise FrameError("preamble mismatch")
-        length_bits, rest = unpack_bits(rest, 8, -1)
-        length = int(bits_to_bytes(length_bits)[0])
-        if length > MAX_PAYLOAD_BYTES:
-            raise FrameError(f"length byte {length} exceeds max payload")
-        need = 8 * length + 16
-        if rest.size < need:
-            raise FrameError(f"frame truncated: need {need} bits after header, have {rest.size}")
-        payload_bits, crc_bits = unpack_bits(rest[:need], 8 * length, 16)
-        body = pack_bits(length_bits, payload_bits)
-        if not self.crc.check_bits(body, crc_bits):
+        length_bits = arr[self.preamble_bits : self.header_bits()]
+        need = self.rest_bits(length_bits)
+        if need is None:
+            raise FrameError(f"length byte {int(np.packbits(length_bits)[0])} exceeds max payload")
+        have = arr.size - self.header_bits()
+        if have < need:
+            raise FrameError(f"frame truncated: need {need} bits after header, have {have}")
+        payload = self.open_body(arr[self.preamble_bits : self.header_bits() + need])
+        if payload is None:
             raise FrameError("CRC mismatch")
-        return Frame(payload=bits_to_bytes(payload_bits), fmt=self)
+        return Frame(payload=payload, fmt=self)
 
 
 @dataclass(frozen=True)

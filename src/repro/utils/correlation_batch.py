@@ -383,9 +383,8 @@ def template_bank(
         raise ValueError(
             f"codes must share one length to stack into a bank, got lengths {sorted(lengths)}"
         )
-    preamble = np.asarray(fmt.preamble, dtype=np.uint8)
     key = (
-        preamble.tobytes(),
+        fmt.preamble.tobytes(),
         int(samples_per_chip),
         tuple(sorted((uid, code.tobytes()) for uid, code in normalized.items())),
     )

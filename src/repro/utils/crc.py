@@ -92,9 +92,7 @@ class Crc16:
 
         Returns the 16 CRC bits MSB first, ready to append to a frame.
         """
-        data = bits_to_bytes(as_bit_array(bits))
-        crc = self.compute(data)
-        return bytes_to_bits(crc.to_bytes(2, "big"))
+        return bytes_to_bits(self.compute(bits_to_bytes(bits)).to_bytes(2, "big"))
 
     def check(self, data: Union[bytes, bytearray], expected: int) -> bool:
         """True when *data* has CRC *expected*."""

@@ -27,6 +27,19 @@ class TestFrameFormat:
         with pytest.raises(ValueError):
             FrameFormat.with_preamble_bits(0)
 
+    @pytest.mark.parametrize("preamble", [[1, 0, 1, 0], "1010", (1, 0, 1, 0), np.array([1, 0, 1, 0])])
+    def test_preamble_coerced_at_construction(self, preamble):
+        fmt = FrameFormat(preamble=preamble)
+        assert fmt.preamble.dtype == np.uint8
+        assert fmt.preamble.tolist() == [1, 0, 1, 0]
+        assert fmt.preamble_bits == 4
+        assert fmt.parse(fmt.build(b"hi")).payload == b"hi"
+
+    @pytest.mark.parametrize("preamble", [np.array([1, 2, 0]), "10x1", [1, -1]])
+    def test_non_binary_preamble_rejected_at_construction(self, preamble):
+        with pytest.raises(ValueError):
+            FrameFormat(preamble=preamble)
+
     def test_overhead_bits(self):
         fmt = FrameFormat()
         # 8 preamble + 8 length + 16 CRC.
