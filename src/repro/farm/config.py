@@ -85,18 +85,17 @@ class FarmConfig:
         buffers, the pre-gate): ``"complex128"`` (default, the decode
         oracle) or ``"complex64"`` (the opt-in fast path -- half the
         shared-memory bandwidth; decode itself still runs complex128).
-    coschedule:
-        Batch the pre-gate FFT across co-resident sessions that share
-        a template bank and window length.  Bit-identical to per-window
-        gating (the batched kernel computes rows independently); off
-        turns the farm into plain per-session round-robin.
+
+    Co-resident sessions that share a template bank and window length
+    always have their pre-gate FFT batched into one stacked call
+    (bit-identical to per-window gating: the kernel computes rows
+    independently).
     """
 
     n_workers: int = 2
     ring_slots: int = 8
     ring_slot_samples: int = 1 << 16
     dtype: str = "complex128"
-    coschedule: bool = True
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:

@@ -171,8 +171,7 @@ class DecodeFarm:
 
         if backend == "inline":
             self._cores = [
-                WorkerCore(self.config.numpy_dtype, coschedule=self.config.coschedule)
-                for _ in range(self.config.n_workers)
+                WorkerCore(self.config.numpy_dtype) for _ in range(self.config.n_workers)
             ]
             for spec in specs:
                 self._cores[self._placement[spec.session_id]].add(spec)
@@ -202,7 +201,6 @@ class DecodeFarm:
                             self.config.ring_slots,
                             self.config.ring_slot_samples,
                             self.config.dtype,
-                            self.config.coschedule,
                         ),
                         daemon=True,
                     )

@@ -67,9 +67,8 @@ _CMD_POLL_S = 1.0
 class WorkerCore:
     """Sessions resident on one worker, plus the co-scheduled pump."""
 
-    def __init__(self, dtype: "np.typing.DTypeLike", coschedule: bool = True) -> None:
+    def __init__(self, dtype: "np.typing.DTypeLike") -> None:
         self.dtype = np.dtype(dtype)
-        self.coschedule = bool(coschedule)
         self.sessions: Dict[int, SessionSupervisor] = {}
         self._dirty: Set[int] = set()
         #: Windows gated through a cross-session batch (lifetime total).
@@ -146,7 +145,7 @@ class WorkerCore:
                     ready.append((sid, window))
             if not ready:
                 break
-            if self.coschedule and len(ready) >= 2:
+            if len(ready) >= 2:
                 self._prime_batched(ready)
             for sid, _window in ready:
                 emitted[sid].extend(
@@ -182,7 +181,6 @@ def worker_main(
     ring_slots: int,
     ring_slot_samples: int,
     dtype_name: str,
-    coschedule: bool,
 ) -> None:
     """Process entry point: drive a :class:`WorkerCore` from a queue.
 
@@ -206,7 +204,7 @@ def worker_main(
     - ``("stop",)``                   -> ``("stopped", busy_s, wall_s)``
     """
     ring = ShmRing.attach(ring_name, ring_slots, ring_slot_samples, dtype_name)
-    core = WorkerCore(dtype_name, coschedule=coschedule)
+    core = WorkerCore(dtype_name)
     started = time.perf_counter()
     busy = 0.0
     try:

@@ -238,42 +238,31 @@ class StreamingReceiver:
         common case of a sparse unslotted stream.  The gate uses the
         same kernel and normalisation as the detector itself (margin
         :data:`_PREGATE_MARGIN` below threshold), so a window it skips
-        is one the detector would have returned no users for.
+        is one the detector would have returned no users for.  A window
+        is gated as a one-row stack through :meth:`windows_are_live`.
         """
-        threshold = self.receiver.user_detector.threshold * _PREGATE_MARGIN
-        for _uid, corr in self.receiver.user_detector.correlation_rows(window):
-            if corr.size and float(corr.max()) >= threshold:
-                return True
-        return False
-
-    # Backwards-compatible private alias (pre-session internal name).
-    _window_is_live = window_is_live
+        return bool(self.windows_are_live(np.asarray(window)[None])[0])
 
     def windows_are_live(self, windows: np.ndarray) -> np.ndarray:
         """Vectorised pre-gate over a stack of equal-length windows.
 
-        *windows* is ``(S, n)``; returns a boolean ``(S,)`` array where
-        ``out[s] == self.window_is_live(windows[s])`` **bit-identically**
-        -- the stacked FFT kernel computes each row independently
+        *windows* is ``(S, n)``; returns a boolean ``(S,)`` array, true
+        where any user's correlation peak clears the margin-scaled
+        detection threshold.  The stacked FFT kernel computes each row
+        independently
         (:func:`repro.utils.correlation_batch.sliding_correlation_many`),
         so the farm's cross-session batched gating can never flip a
-        decision the per-window gate would have made.
+        decision the single-window gate would have made.  Windows
+        shorter than the templates are never live.
         """
         windows = np.asarray(windows)
         if windows.ndim != 2:
             raise ValueError(f"windows must be a 2-D stack, got shape {windows.shape}")
         detector = self.receiver.user_detector
-        bank = detector.bank
-        if windows.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
-        if windows.shape[1] < bank.template_samples:
-            # correlation_rows yields nothing for sub-template windows.
+        if windows.shape[0] == 0 or windows.shape[1] < detector.bank.template_samples:
             return np.zeros(windows.shape[0], dtype=bool)
-        threshold = detector.threshold * _PREGATE_MARGIN
-        corr = bank.correlate_many(windows)
-        if corr.shape[2] == 0:
-            return np.zeros(windows.shape[0], dtype=bool)
-        return corr.max(axis=(1, 2)) >= threshold
+        corr = detector.bank.correlate_many(windows)
+        return corr.max(axis=(1, 2)) >= detector.threshold * _PREGATE_MARGIN
 
     def decode_window(
         self, window: np.ndarray, pos: int, dedup: DedupTable

@@ -118,7 +118,7 @@ class UserDetector:
         return self._templates[int(user_id)].size
 
     def correlation_rows(
-        self, window: np.ndarray, backend: Optional[str] = None
+        self, window: np.ndarray, backend: str = "fft"
     ) -> Iterable[Tuple[int, np.ndarray]]:
         """``(user_id, normalised sliding correlation)`` per user.
 

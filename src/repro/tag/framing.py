@@ -31,16 +31,19 @@ class FrameError(ValueError):
     """Raised when bits cannot be parsed as a valid frame."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameFormat:
     """Frame geometry shared by tags and the receiver.
+
+    Formats are values: two compare (and hash) equal when their
+    preamble bits and CRC are equal.
 
     Attributes
     ----------
     preamble:
         The known preamble bit pattern (default: the paper's
         ``10101010``), as 0/1 bits or a ``"1010"`` string; validated
-        and stored as a uint8 bit array.
+        and stored as a read-only uint8 bit array.
     crc:
         CRC implementation covering the length byte and payload.
     """
@@ -49,7 +52,21 @@ class FrameFormat:
     crc: Crc16 = CRC16_CCITT
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "preamble", as_bit_array(self.preamble))
+        bits = as_bit_array(self.preamble)  # always a fresh array
+        bits.flags.writeable = False
+        object.__setattr__(self, "preamble", bits)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrameFormat):
+            return NotImplemented
+        return self.preamble.tobytes() == other.preamble.tobytes() and self.crc == other.crc
+
+    def __hash__(self) -> int:
+        return hash((self.preamble.tobytes(), self.crc))
+
+    def __reduce__(self):
+        # Rebuild through __init__ so an unpickled preamble is read-only too.
+        return (type(self), (self.preamble, self.crc))
 
     @classmethod
     def with_preamble_bits(cls, n_bits: int) -> "FrameFormat":

@@ -3,23 +3,24 @@
 Every receiver stage (frame sync hypotheses, user detection, diversity
 combining, the streaming window walk) reduces to the same primitive:
 correlate *U* equal-length user templates against every alignment of
-one sample window.  This module does all *U* templates in one
-vectorised pass:
+a sample window.  One kernel serves a single window and a stack of
+*S* equal-length windows alike:
 
-- the window's FFT is computed **once** and shared by every template
-  (cross-correlation is a product in the frequency domain);
-- the local window-energy normalisation is computed **once** as a
-  cumulative sum and shared by every template row;
-- long windows fall back to **overlap-save** blocks so memory stays
-  bounded by the block size, not the buffer length.
+- each window's FFT is computed **once** and shared by every template
+  (cross-correlation is a product in the frequency domain), and the
+  template spectrum is computed once per call for every window;
+- the local window-energy normalisation is computed **once** per
+  window as a cumulative sum and shared by every template row;
+- long windows are processed in **overlap-save** blocks so memory
+  stays bounded by the block size, not the buffer length.
 
-The ``fft`` backend is numerically interchangeable with the ``direct``
-backend (one O(n*m) ``np.convolve`` per template, kept as the
-reference): same normalisation, same :func:`~repro.utils.correlation.guard_denominator`
-epsilon policy, agreement to ~1e-12 relative (FFT rounding only).  The
-environment variable ``REPRO_CORR_BACKEND`` (``fft`` | ``direct``)
-forces a backend globally -- the escape hatch if an FFT library ever
-misbehaves -- and every caller also accepts an explicit ``backend=``.
+Rows are computed independently, so stacking windows never changes
+any one window's scores.  The ``fft`` backend (the default) is
+numerically interchangeable with the ``direct`` backend (one O(n*m)
+``np.convolve`` per template, kept as the reference and selected only
+by an explicit ``backend="direct"``): same normalisation, same
+:func:`~repro.utils.correlation.guard_denominator` epsilon policy,
+agreement to ~1e-12 relative (FFT rounding only).
 
 Template construction is cached: :func:`template_bank` memoises the
 stacked spread-preamble matrix per ``(FrameFormat, codes,
@@ -29,8 +30,7 @@ samples_per_chip)``, so constructing many receivers over one code book
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
@@ -41,8 +41,6 @@ from repro.utils.contracts import array_contract
 from repro.utils.correlation import guard_denominator
 
 __all__ = [
-    "BACKEND_ENV",
-    "corr_backend",
     "sliding_correlation_batch",
     "sliding_correlation_many",
     "TemplateBank",
@@ -50,33 +48,12 @@ __all__ = [
     "clear_template_cache",
 ]
 
-#: Environment variable selecting the sliding-correlation backend.
-BACKEND_ENV = "REPRO_CORR_BACKEND"
-
 _BACKENDS = ("fft", "direct")
 
 #: Overlap-save engages above this many signal samples: one giant FFT
 #: of a multi-second capture would allocate U full-length spectra,
 #: while blocks keep the working set at a few hundred KiB per template.
 _OVERLAP_SAVE_THRESHOLD = 1 << 17
-
-
-def corr_backend(override: Optional[str] = None) -> str:
-    """The active sliding-correlation backend (``fft`` or ``direct``).
-
-    *override* (a caller's explicit ``backend=`` argument) wins over the
-    ``REPRO_CORR_BACKEND`` environment variable, which wins over the
-    default (``fft``).  Unknown names raise immediately rather than
-    silently running the wrong kernel.
-    """
-    value = override or os.environ.get(BACKEND_ENV, "") or "fft"
-    value = value.strip().lower()
-    if value not in _BACKENDS:
-        raise ValueError(
-            f"unknown correlation backend {value!r} "
-            f"(allowed: {', '.join(_BACKENDS)}; set {BACKEND_ENV} or pass backend=)"
-        )
-    return value
 
 
 def _next_fast_len(n: int) -> int:
@@ -99,57 +76,79 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _fft_valid_correlation(signal: np.ndarray, templates: np.ndarray) -> np.ndarray:
-    """``|valid cross-correlation|`` of every template row, via one
-    shared signal FFT (callers guarantee ``n >= m``)."""
-    n = signal.size
+def _fft_magnitudes(signals: np.ndarray, templates: np.ndarray) -> np.ndarray:
+    """``|valid cross-correlation|`` of every template row against every
+    row of the ``(S, n)`` stack *signals* (callers guarantee ``n >= m``).
+
+    Windows up to :data:`_OVERLAP_SAVE_THRESHOLD` samples are one block
+    of ``_next_fast_len(n)``; longer ones are walked in overlap-save
+    blocks that all share one template spectrum.
+    """
+    n = signals.shape[1]
     m = templates.shape[1]
-    nfft = _next_fast_len(n)
+    n_valid = n - m + 1
+    block = _next_fast_len(max(4 * m, 1 << 14) if n > _OVERLAP_SAVE_THRESHOLD else n)
+    step = block - (m - 1)
     # Cross-correlation == convolution with the conjugate-reversed
     # template; real inputs take the half-spectrum (rfft) fast path.
     kernels = np.conj(templates[:, ::-1])
-    if not np.iscomplexobj(signal) and not np.iscomplexobj(kernels):
-        spec = np.fft.rfft(signal, nfft)
-        kspec = np.fft.rfft(kernels.real, nfft, axis=1)
-        full = np.fft.irfft(spec[None, :] * kspec, nfft, axis=1)
+    if np.iscomplexobj(signals) or np.iscomplexobj(kernels):
+        fwd, inv = np.fft.fft, np.fft.ifft
     else:
-        spec = np.fft.fft(signal, nfft)
-        kspec = np.fft.fft(kernels, nfft, axis=1)
-        full = np.fft.ifft(spec[None, :] * kspec, axis=1)
-    # "valid" slice of the full linear convolution.
-    return np.abs(full[:, m - 1 : n])
+        fwd, inv = np.fft.rfft, np.fft.irfft
+    kspec = fwd(kernels, block, axis=1)
+    pieces = []
+    for pos in range(0, n_valid, step):
+        spec = fwd(signals[:, pos : pos + block], block, axis=1)
+        full = inv(spec[:, None, :] * kspec, block, axis=2)
+        # "valid" slice of this block's linear convolution.
+        pieces.append(np.abs(full[:, :, m - 1 : m - 1 + min(step, n_valid - pos)]))
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=2)
 
 
-def _overlap_save_correlation(signal: np.ndarray, templates: np.ndarray) -> np.ndarray:
-    """Overlap-save variant: process *signal* in blocks sharing one
-    kernel-spectrum computation, bounding memory on long captures."""
-    n = signal.size
-    m = templates.shape[1]
-    n_valid = n - m + 1
-    block = _next_fast_len(max(4 * m, 1 << 14))
-    step = block - (m - 1)
-    out = np.empty((templates.shape[0], n_valid), dtype=np.float64)
-    kernels = np.conj(templates[:, ::-1])
-    real = not np.iscomplexobj(signal) and not np.iscomplexobj(kernels)
-    if real:
-        kspec = np.fft.rfft(kernels.real, block, axis=1)
+def _correlate(
+    signals: np.ndarray, templates: np.ndarray, normalize: bool, backend: str
+) -> np.ndarray:
+    """``(S, U, n - m + 1)`` correlation of a window stack (the one
+    implementation behind both public entry points)."""
+    if backend not in _BACKENDS:
+        raise ValueError(
+            f"unknown correlation backend {backend!r} (allowed: {', '.join(_BACKENDS)})"
+        )
+    signals = np.asarray(signals)
+    templates = np.asarray(templates)
+    if signals.ndim != 2:
+        raise ValueError(f"signals must be a 2-D stack, got shape {signals.shape}")
+    if templates.ndim != 2:
+        raise ValueError(f"templates must be a 2-D stack, got shape {templates.shape}")
+    n_signals, n = signals.shape
+    n_templates, m = templates.shape
+    if m == 0:
+        raise ValueError("templates must be non-empty")
+    if n < m:
+        return np.zeros((n_signals, n_templates, 0), dtype=np.float64)
+
+    if backend == "direct":
+        mags = np.empty((n_signals, n_templates, n - m + 1), dtype=np.float64)
+        for s, signal in enumerate(signals):
+            for u, template in enumerate(templates):
+                mags[s, u] = np.abs(np.convolve(signal, np.conj(template[::-1]), mode="valid"))
     else:
-        kspec = np.fft.fft(kernels, block, axis=1)
-    pos = 0
-    while pos < n_valid:
-        chunk = signal[pos : pos + block]
-        if real:
-            spec = np.fft.rfft(chunk, block)
-            full = np.fft.irfft(spec[None, :] * kspec, block, axis=1)
-        else:
-            spec = np.fft.fft(chunk, block)
-            full = np.fft.ifft(spec[None, :] * kspec, axis=1)
-        take = min(step, n_valid - pos, chunk.size - m + 1 if chunk.size >= m else 0)
-        if take <= 0:
-            break
-        out[:, pos : pos + take] = np.abs(full[:, m - 1 : m - 1 + take])
-        pos += take
-    return out
+        mags = _fft_magnitudes(signals, templates)
+
+    if not normalize:
+        return mags
+    # One window-energy cumsum per window normalises every template row.
+    power = np.abs(signals) ** 2
+    csum = np.concatenate(
+        [np.zeros((n_signals, 1), dtype=np.float64), np.cumsum(power, axis=1)], axis=1
+    )
+    window_energy = guard_denominator(csum[:, m:] - csum[:, :-m])
+    template_norms = np.linalg.norm(templates, axis=1)
+    denom = guard_denominator(
+        np.sqrt(window_energy)[:, None, :] * template_norms[None, :, None]
+    )
+    return mags / denom
 
 
 @array_contract(signal="(n) any", templates="(u, m) any")
@@ -157,7 +156,7 @@ def sliding_correlation_batch(
     signal: np.ndarray,
     templates: np.ndarray,
     normalize: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "fft",
 ) -> np.ndarray:
     """Correlate every row of *templates* against every alignment of
     *signal* in one batched pass.
@@ -172,45 +171,16 @@ def sliding_correlation_batch(
         Divide each alignment by the local window energy (shared cumsum
         across all rows) times the row's template norm.
     backend:
-        ``"fft"`` | ``"direct"`` | ``None`` (defer to
-        ``REPRO_CORR_BACKEND``, default ``fft``).  The direct backend
-        is a per-template ``np.convolve`` loop, the reference the fft
-        backend matches to FFT rounding (~1e-12 relative).
+        ``"fft"`` (default) or ``"direct"``: a per-template
+        ``np.convolve`` loop, the reference the fft backend matches to
+        FFT rounding (~1e-12 relative).  Other names raise
+        ``ValueError``.
 
     Returns
     -------
     ``(U, n - m + 1)`` float64 array of correlation magnitudes.
     """
-    signal = np.asarray(signal)
-    templates = np.asarray(templates)
-    if templates.ndim != 2:
-        raise ValueError(f"templates must be a 2-D stack, got shape {templates.shape}")
-    n = signal.size
-    n_templates, m = templates.shape
-    if m == 0:
-        raise ValueError("templates must be non-empty")
-    if n < m:
-        return np.zeros((n_templates, 0), dtype=np.float64)
-
-    mode = corr_backend(backend)
-    if mode == "direct":
-        mags = np.empty((n_templates, n - m + 1), dtype=np.float64)
-        for row, template in enumerate(templates):
-            mags[row] = np.abs(np.convolve(signal, np.conj(template[::-1]), mode="valid"))
-    elif n > _OVERLAP_SAVE_THRESHOLD:
-        mags = _overlap_save_correlation(signal, templates)
-    else:
-        mags = _fft_valid_correlation(signal, templates)
-
-    if not normalize:
-        return mags
-    # One shared window-energy cumsum normalises every template row.
-    power = np.abs(signal) ** 2
-    csum = np.concatenate(([0.0], np.cumsum(power)))
-    window_energy = guard_denominator(csum[m:] - csum[:-m])
-    template_norms = np.linalg.norm(templates, axis=1)
-    denom = guard_denominator(np.sqrt(window_energy)[None, :] * template_norms[:, None])
-    return mags / denom
+    return _correlate(np.asarray(signal)[None], templates, normalize, backend)[0]
 
 
 @array_contract(signals="(s, n) any", templates="(u, m) any")
@@ -218,78 +188,24 @@ def sliding_correlation_many(
     signals: np.ndarray,
     templates: np.ndarray,
     normalize: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "fft",
 ) -> np.ndarray:
     """Correlate every template row against every alignment of a whole
     *stack* of equal-length windows in one pass.
 
-    This is the cross-session extension of
-    :func:`sliding_correlation_batch`: the farm co-schedules sessions
-    that share one :class:`TemplateBank`, stacks their pending windows
-    into ``signals`` of shape ``(S, n)``, and gates them all with a
-    single batched FFT.  Each output row ``out[s]`` is **bit-identical**
-    to ``sliding_correlation_batch(signals[s], templates, ...)`` with
-    the same backend: the FFT, the cumulative-sum normalisation and the
-    epsilon guard are all computed row-independently, so batching
-    windows together never changes any single window's scores.
+    The farm co-schedules sessions that share one :class:`TemplateBank`,
+    stacks their pending windows into ``signals`` of shape ``(S, n)``,
+    and gates them all with a single batched FFT.  Each output row
+    ``out[s]`` is **bit-identical** to
+    ``sliding_correlation_batch(signals[s], templates, ...)`` with the
+    same backend: both run the same kernel, which computes the FFT, the
+    cumulative-sum normalisation and the epsilon guard row by row.
 
     Returns
     -------
     ``(S, U, n - m + 1)`` float64 array of correlation magnitudes.
     """
-    signals = np.asarray(signals)
-    templates = np.asarray(templates)
-    if signals.ndim != 2:
-        raise ValueError(f"signals must be a 2-D stack, got shape {signals.shape}")
-    if templates.ndim != 2:
-        raise ValueError(f"templates must be a 2-D stack, got shape {templates.shape}")
-    n_signals, n = signals.shape
-    n_templates, m = templates.shape
-    if m == 0:
-        raise ValueError("templates must be non-empty")
-    if n < m:
-        return np.zeros((n_signals, n_templates, 0), dtype=np.float64)
-
-    mode = corr_backend(backend)
-    if mode == "direct" or n > _OVERLAP_SAVE_THRESHOLD:
-        # The direct backend and the overlap-save regime stay per-row
-        # loops through the single-window kernel -- equivalence with
-        # the oracle is then true by construction.
-        return np.stack(
-            [
-                sliding_correlation_batch(
-                    row, templates, normalize=normalize, backend=mode
-                )
-                for row in signals
-            ]
-        )
-
-    nfft = _next_fast_len(n)
-    kernels = np.conj(templates[:, ::-1])
-    if not np.iscomplexobj(signals) and not np.iscomplexobj(kernels):
-        spec = np.fft.rfft(signals, nfft, axis=1)
-        kspec = np.fft.rfft(kernels.real, nfft, axis=1)
-        full = np.fft.irfft(spec[:, None, :] * kspec[None, :, :], nfft, axis=2)
-    else:
-        spec = np.fft.fft(signals, nfft, axis=1)
-        kspec = np.fft.fft(kernels, nfft, axis=1)
-        full = np.fft.ifft(spec[:, None, :] * kspec[None, :, :], axis=2)
-    mags = np.abs(full[:, :, m - 1 : n])
-
-    if not normalize:
-        return mags
-    # Row-wise cumsum reproduces each window's shared-energy
-    # normalisation exactly as the single-window kernel computes it.
-    power = np.abs(signals) ** 2
-    csum = np.concatenate(
-        [np.zeros((n_signals, 1), dtype=np.float64), np.cumsum(power, axis=1)], axis=1
-    )
-    window_energy = guard_denominator(csum[:, m:] - csum[:, :-m])
-    template_norms = np.linalg.norm(templates, axis=1)
-    denom = guard_denominator(
-        np.sqrt(window_energy)[:, None, :] * template_norms[None, :, None]
-    )
-    return mags / denom
+    return _correlate(signals, templates, normalize, backend)
 
 
 class TemplateBank:
@@ -328,7 +244,7 @@ class TemplateBank:
         self,
         window: np.ndarray,
         normalize: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "fft",
     ) -> np.ndarray:
         """Batched sliding correlation of every user template."""
         return sliding_correlation_batch(
@@ -339,7 +255,7 @@ class TemplateBank:
         self,
         windows: np.ndarray,
         normalize: bool = True,
-        backend: Optional[str] = None,
+        backend: str = "fft",
     ) -> np.ndarray:
         """Sliding correlation of every user template against a stack
         of equal-length windows (one ``(U, n-m+1)`` plane per window)."""

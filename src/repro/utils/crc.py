@@ -106,6 +106,18 @@ class Crc16:
             raise ValueError(f"crc field must be 16 bits, got {want.size}")
         return bool(np.array_equal(got, want))
 
+    def _params(self) -> tuple:
+        return (self.poly, self.init, self.reflect, self.xor_out)
+
+    def __eq__(self, other: object) -> bool:
+        # A value: equal parameters compute equal CRCs (the name is a label).
+        if not isinstance(other, Crc16):
+            return NotImplemented
+        return self._params() == other._params()
+
+    def __hash__(self) -> int:
+        return hash(self._params())
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Crc16(name={self.name!r}, poly=0x{self.poly:04X}, init=0x{self.init:04X}, reflect={self.reflect})"
 

@@ -39,16 +39,6 @@ class TestInlineBackend:
         farm = make_farm(net_config, chunk, n_workers=2, backend="inline")
         assert run_farm(farm, chunks) == oracle
 
-    def test_coschedule_off_matches_sequential(
-        self, net_config, soak_capture, oracle
-    ):
-        _buffer, chunks, chunk = soak_capture
-        farm = make_farm(
-            net_config, chunk, n_workers=2, backend="inline", coschedule=False
-        )
-        assert run_farm(farm, chunks) == oracle
-        assert farm.batched_windows == 0
-
     def test_batched_gate_engages(self, net_config, soak_capture):
         _buffer, chunks, chunk = soak_capture
         farm = make_farm(net_config, chunk, n_workers=1, backend="inline")

@@ -1,18 +1,20 @@
 """Cross-session batched gating: bit-identity of the stacked kernels.
 
 ``sliding_correlation_many`` must equal per-row
-``sliding_correlation_batch`` to the last bit (both backends), and
-``StreamingReceiver.windows_are_live`` must agree with the scalar
-``window_is_live`` on every window -- that identity is what makes the
-farm's co-scheduled gate an optimisation rather than a behaviour
-change.
+``sliding_correlation_batch`` to the last bit (both backends, single
+and overlap-save blocks), and ``StreamingReceiver.windows_are_live``
+must reproduce the per-window pre-gate rule -- any user's correlation
+row reaching the margin-scaled threshold -- on every window.  That
+identity is what makes the farm's co-scheduled gate an optimisation
+rather than a behaviour change.
 """
 
 import numpy as np
 import pytest
 
-from repro.receiver.streaming import StreamingReceiver
+from repro.receiver.streaming import _PREGATE_MARGIN, StreamingReceiver
 from repro.utils.correlation_batch import (
+    _OVERLAP_SAVE_THRESHOLD,
     TemplateBank,
     sliding_correlation_batch,
     sliding_correlation_many,
@@ -31,17 +33,19 @@ class TestStackedKernel:
     @pytest.mark.parametrize("complex_signals", [True, False])
     def test_matches_per_row_batch(self, backend, complex_signals):
         rng = np.random.default_rng(5)
-        signals = _stack(rng, 3, 200, complex_signals)
         templates = rng.normal(size=(4, 24))
-        many = sliding_correlation_many(signals, templates, backend=backend)
-        rows = np.stack(
-            [
-                sliding_correlation_batch(row, templates, backend=backend)
-                for row in signals
-            ]
-        )
-        assert many.shape == (3, 4, 200 - 24 + 1)
-        np.testing.assert_array_equal(many, rows)
+        # One single-block stack and one long enough for overlap-save.
+        for n_signals, n in ((3, 200), (2, _OVERLAP_SAVE_THRESHOLD + 1000)):
+            signals = _stack(rng, n_signals, n, complex_signals)
+            many = sliding_correlation_many(signals, templates, backend=backend)
+            rows = np.stack(
+                [
+                    sliding_correlation_batch(row, templates, backend=backend)
+                    for row in signals
+                ]
+            )
+            assert many.shape == (n_signals, 4, n - 24 + 1)
+            np.testing.assert_array_equal(many, rows)
 
     @pytest.mark.parametrize("backend", ["fft", "direct"])
     def test_unnormalized_matches_per_row(self, backend):
@@ -92,14 +96,31 @@ class TestBatchedGate:
         return StreamingReceiver.from_config(net_config)
 
     def test_matches_scalar_gate(self, stream, soak_capture):
+        detector = stream.receiver.user_detector
+        threshold = detector.threshold * _PREGATE_MARGIN
+
+        def reference(window):
+            # The per-window rule: some user's row reaches the threshold.
+            return any(
+                row.max() >= threshold for _uid, row in detector.correlation_rows(window)
+            )
+
         buffer, _chunks, _chunk = soak_capture
         w = stream.window_samples
+        m = detector.bank.template_samples
         windows = np.stack([buffer[i * w : (i + 1) * w] for i in range(12)])
-        batched = stream.windows_are_live(windows)
-        scalar = np.array([stream.window_is_live(win) for win in windows])
-        np.testing.assert_array_equal(batched, scalar)
+        expected = np.array([reference(win) for win in windows])
+        np.testing.assert_array_equal(stream.windows_are_live(windows), expected)
+        assert [stream.window_is_live(win) for win in windows] == list(expected)
         # The capture is busy enough that both branches are exercised.
-        assert batched.any() and not batched.all()
+        assert expected.any() and not expected.all()
+        # Capture-edge tails: sub-template, exactly one template, empty.
+        live_at = int(np.argmax(expected)) * w
+        for n in (m - 1, m, m + 7, 0):
+            tails = np.stack([buffer[live_at : live_at + n], buffer[:n]])
+            want = [reference(tail) for tail in tails]
+            assert list(stream.windows_are_live(tails)) == want
+            assert [stream.window_is_live(tail) for tail in tails] == want
 
     def test_empty_stack(self, stream):
         out = stream.windows_are_live(

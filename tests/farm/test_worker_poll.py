@@ -31,7 +31,7 @@ def ring():
 def start_worker(ring, cmd_q, result_q):
     thread = threading.Thread(
         target=worker_main,
-        args=(0, cmd_q, result_q, ring.name, 4, 16, "complex128", True),
+        args=(0, cmd_q, result_q, ring.name, 4, 16, "complex128"),
         daemon=True,
     )
     thread.start()

@@ -16,10 +16,6 @@ of hand-picked examples:
   and identical candidate-alignment sets under either backend.
 """
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +26,7 @@ from repro.sim.collision import CollisionScenario, simulate_round
 from repro.tag.framing import FrameFormat
 from repro.tag.tag import Tag
 from repro.utils.correlation import guard_denominator
-from repro.utils.correlation_batch import BACKEND_ENV, sliding_correlation_batch
+from repro.utils.correlation_batch import TemplateBank, sliding_correlation_batch
 
 SCORE_TOL = 1e-9
 
@@ -44,17 +40,21 @@ def _reference_correlation(signal: np.ndarray, template: np.ndarray) -> np.ndarr
     return mags / guard_denominator(np.sqrt(window_energy) * np.linalg.norm(template))
 
 
-@contextmanager
-def _forced_backend(name: str) -> Iterator[None]:
-    old = os.environ.get(BACKEND_ENV)
-    os.environ[BACKEND_ENV] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = old
+def _detect_with(name: str, detector: UserDetector, iq: np.ndarray):
+    """``detector.detect(iq)`` with every bank correlation forced onto
+    backend *name* (``detect`` itself always runs the default fft)."""
+    correlate = TemplateBank.correlate
+    calls = []
+
+    def forced(self, window, normalize=True, backend="fft"):
+        calls.append(name)
+        return correlate(self, window, normalize=normalize, backend=name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TemplateBank, "correlate", forced)
+        detections = {d.user_id: d for d in detector.detect(iq)}
+    assert calls, "detect() no longer correlates through TemplateBank.correlate"
+    return detections
 
 
 def _collision(n_tags: int, samples_per_chip: int, seed: int):
@@ -150,10 +150,8 @@ class TestDetectorEquivalence:
         for uid in rows_direct:
             assert float(np.abs(rows_direct[uid] - rows_fft[uid]).max()) < SCORE_TOL
 
-        with _forced_backend("direct"):
-            by_direct = {d.user_id: d for d in detector.detect(iq)}
-        with _forced_backend("fft"):
-            by_fft = {d.user_id: d for d in detector.detect(iq)}
+        by_direct = _detect_with("direct", detector, iq)
+        by_fft = _detect_with("fft", detector, iq)
         assert by_direct.keys() == by_fft.keys()
         for uid, a in by_direct.items():
             b = by_fft[uid]

@@ -1,5 +1,7 @@
 """Unit tests for repro.tag.framing."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from repro.tag.framing import (
     MAX_PAYLOAD_BYTES,
 )
 from repro.utils.bits import as_bit_array
+from repro.utils.crc import CRC16_IBM
 
 
 class TestFrameFormat:
@@ -52,6 +55,39 @@ class TestFrameFormat:
     def test_frame_bits_bounds(self):
         with pytest.raises(ValueError):
             FrameFormat().frame_bits(127)
+
+
+class TestFrameFormatValue:
+    def test_equal_formats_compare_and_hash_equal(self):
+        a, b = FrameFormat(), FrameFormat(preamble=[1, 0, 1, 0, 1, 0, 1, 0])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_preambles_compare_unequal(self):
+        assert FrameFormat() != FrameFormat.with_preamble_bits(4)
+        assert FrameFormat(preamble="1010") != FrameFormat(preamble="0101")
+        assert FrameFormat() != "10101010"
+
+    def test_different_crc_compares_unequal(self):
+        assert FrameFormat() != FrameFormat(crc=CRC16_IBM)
+
+    def test_preamble_is_read_only(self):
+        fmt = FrameFormat()
+        with pytest.raises(ValueError):
+            fmt.preamble[0] = 0
+        assert hash(fmt) == hash(FrameFormat())
+
+    def test_caller_array_stays_writable(self):
+        bits = np.array([1, 0, 1, 0], dtype=np.uint8)
+        FrameFormat(preamble=bits)
+        bits[0] = 0  # the format keeps its own copy
+
+    def test_pickle_round_trip_is_equal_and_read_only(self):
+        fmt = FrameFormat.with_preamble_bits(6)
+        clone = pickle.loads(pickle.dumps(fmt))
+        assert clone == fmt and hash(clone) == hash(fmt)
+        assert not clone.preamble.flags.writeable
 
 
 class TestBuildParse:

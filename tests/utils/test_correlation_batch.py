@@ -5,11 +5,10 @@ import pytest
 
 from repro.tag.framing import FrameFormat
 from repro.utils.correlation_batch import (
-    BACKEND_ENV,
     TemplateBank,
     clear_template_cache,
-    corr_backend,
     sliding_correlation_batch,
+    sliding_correlation_many,
     template_bank,
 )
 
@@ -19,25 +18,20 @@ def _random_stack(rng, n_templates, m):
 
 
 class TestBackendSelection:
-    def test_default_is_fft(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert corr_backend() == "fft"
+    def test_default_is_fft(self):
+        rng = np.random.default_rng(3)
+        sig = rng.normal(size=128) + 1j * rng.normal(size=128)
+        templates = _random_stack(rng, 2, 16)
+        assert np.array_equal(
+            sliding_correlation_batch(sig, templates),
+            sliding_correlation_batch(sig, templates, backend="fft"),
+        )
 
-    def test_env_var_selects_direct(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "direct")
-        assert corr_backend() == "direct"
-
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "direct")
-        assert corr_backend("fft") == "fft"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "quantum")
+    def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="quantum"):
-            corr_backend()
-
-    def test_case_and_whitespace_normalised(self):
-        assert corr_backend(" FFT ") == "fft"
+            sliding_correlation_batch(np.zeros(32), np.ones((2, 8)), backend="quantum")
+        with pytest.raises(ValueError, match="quantum"):
+            sliding_correlation_many(np.zeros((2, 32)), np.ones((2, 8)), backend="quantum")
 
 
 class TestSlidingCorrelationBatch:
@@ -95,15 +89,6 @@ class TestSlidingCorrelationBatch:
     def test_zero_signal_scores_zero_not_nan(self):
         out = sliding_correlation_batch(np.zeros(64), np.ones((2, 8)))
         assert np.array_equal(out, np.zeros((2, 57)))
-
-    def test_env_var_escape_hatch_applies(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        sig = rng.normal(size=128)
-        templates = _random_stack(rng, 2, 16)
-        monkeypatch.setenv(BACKEND_ENV, "direct")
-        via_env = sliding_correlation_batch(sig, templates)
-        explicit = sliding_correlation_batch(sig, templates, backend="direct")
-        assert np.array_equal(via_env, explicit)
 
 
 class TestTemplateBank:

@@ -87,3 +87,14 @@ class TestCustomPolynomial:
 
     def test_repr_contains_name(self):
         assert "xmodem" in repr(Crc16(poly=0x1021, init=0, reflect=False, name="xmodem"))
+
+
+class TestValueEquality:
+    def test_equal_parameters_compare_and_hash_equal(self):
+        twin = Crc16(poly=0x1021, init=0xFFFF, reflect=False, name="another label")
+        assert twin == CRC16_CCITT
+        assert hash(twin) == hash(CRC16_CCITT)
+
+    def test_different_parameters_compare_unequal(self):
+        assert CRC16_CCITT != CRC16_IBM
+        assert Crc16(poly=0x1021, init=0x0000, reflect=False) != CRC16_CCITT
